@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race verify bench bench-quick bench-json bench-smoke bench-baseline bench-baseline-check bench-fleet bench-batch bench-writepath examples loc fmt vet clean serve serve-smoke ckpt-smoke obs-smoke gateway-smoke batch-smoke replay-smoke writepath-smoke load-compare
+.PHONY: all build test race verify bench bench-quick bench-json bench-smoke bench-e2e bench-baseline bench-baseline-check bench-fleet bench-batch bench-writepath examples loc fmt vet clean serve serve-smoke ckpt-smoke obs-smoke gateway-smoke batch-smoke replay-smoke writepath-smoke load-compare
 
 all: build vet test
 
@@ -34,7 +34,7 @@ bench-json:
 	$(GO) run ./cmd/komodo-bench -json
 
 # CI guard: every benchmark compiles and runs once, and the hot-path perf
-# section (block/decode caches + delta restore) completes end-to-end. Not a
+# section (block cache + delta restore) completes end-to-end. Not a
 # measurement — shared runners are too noisy — just an execution check.
 # The block A/B benchmark and the block differential harness also run under
 # the race detector: the superblock cache must stay bit-identical there too.
@@ -44,9 +44,18 @@ bench-smoke:
 	$(GO) test -race -run 'TestBlockDifferential|FuzzBlockCache' ./internal/arm/
 	$(GO) run ./cmd/komodo-bench -perf -perf-requests 16
 
-# Regenerate the committed perf baseline for this PR sequence number.
-BENCH_N ?= 6
+# End-to-end serving benchmark (benchmark/, declared in BENCHMARK.json):
+# builds the harness from source and runs both workloads once, printing
+# each run's end-to-end metrics as its last line. For other seeds, the
+# traced per-layer run, --record or --compare, call benchmark/run.sh.
+bench-e2e:
+	bash benchmark/run.sh --workload attest-volatile --seed 1 --seconds 20 --trace 0
+	bash benchmark/run.sh --workload mixed-fleet --seed 1 --seconds 20 --trace 0
+
+# Regenerate a committed perf baseline: `make bench-baseline BENCH_N=<n>`.
+# There is no default, so an old baseline is never overwritten by accident.
 bench-baseline:
+	@test -n "$(BENCH_N)" || { echo "usage: make bench-baseline BENCH_N=<n>" >&2; exit 2; }
 	$(GO) run ./cmd/komodo-bench -json > BENCH_$(BENCH_N).json
 
 # Regenerate the committed fleet-scaling baseline (BENCH_7.json): whole
@@ -103,7 +112,7 @@ bench-batch:
 	$(GO) run ./cmd/komodo-bench -batch -json > BENCH_8.json
 
 # Adaptive write path (docs/BATCHING.md §Adaptive write path): race-built
-# serve with dynamic K + dedup + group commit under Zipf-skewed load;
+# serve with dynamic K + dedup over a durable state dir under Zipf-skewed load;
 # receipts verify offline, K moves off its floor, dedup coalesces, the
 # fsync rate amortises, and counters stay monotonic across SIGTERM +
 # restart.
@@ -112,7 +121,7 @@ writepath-smoke:
 
 # Regenerate the committed write-path baseline (BENCH_10.json):
 # crossings/sign, fsyncs/sign, and latency across load levels and skew —
-# unbatched vs fixed K vs adaptive+dedup+group-commit, durable counters
+# unbatched vs fixed K vs adaptive+dedup, durable counters
 # checkpointed after every sign.
 bench-writepath:
 	$(GO) run ./cmd/komodo-bench -writepath -json > BENCH_10.json

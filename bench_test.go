@@ -205,16 +205,14 @@ func BenchmarkEnclaveCrossing(b *testing.B) {
 }
 
 // BenchmarkInterpreter measures raw simulated-instruction throughput (the
-// KARM interpreter running the SHA-256 inner loop in an enclave) across
-// the three cache configurations: superblock cache (the default), decode
-// cache only, and fully uncached. Comparing adjacent sub-benchmarks' ns/op
-// gives each layer's speedup as recorded in docs/PERFORMANCE.md.
+// KARM interpreter running the SHA-256 inner loop in an enclave) with the
+// superblock cache on (the default) and off. Comparing the sub-benchmarks'
+// ns/op gives the block cache's speedup as recorded in docs/PERFORMANCE.md.
 func BenchmarkInterpreter(b *testing.B) {
-	run := func(b *testing.B, noBlockCache, noDecodeCache bool) {
+	run := func(b *testing.B, noBlockCache bool) {
 		plat, err := board.Boot(board.Config{
-			Seed:               1,
-			DisableBlockCache:  noBlockCache,
-			DisableDecodeCache: noDecodeCache,
+			Seed:              1,
+			DisableBlockCache: noBlockCache,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -244,9 +242,8 @@ func BenchmarkInterpreter(b *testing.B) {
 			}
 		}
 	}
-	b.Run("block-cache", func(b *testing.B) { run(b, false, false) })
-	b.Run("decode-cache", func(b *testing.B) { run(b, true, false) })
-	b.Run("no-decode-cache", func(b *testing.B) { run(b, true, true) })
+	b.Run("block-cache", func(b *testing.B) { run(b, false) })
+	b.Run("no-block-cache", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkPerf regenerates the hot-path performance report (the "perf"
@@ -264,7 +261,6 @@ func BenchmarkPerf(b *testing.B) {
 	b.ReportMetric(r.InstrPerSec/1e6, "Minstr/s")
 	b.ReportMetric(r.BlockCacheSpeedup, "block-speedup")
 	b.ReportMetric(r.MeanBlockLen, "block-len")
-	b.ReportMetric(r.DecodeCacheSpeedup, "decode-speedup")
 	b.ReportMetric(float64(r.RestoreWordsPerRequest), "restore-words/req")
 	b.ReportMetric(r.RestoreReduction, "restore-reduction")
 	b.ReportMetric(r.ServeP50Micros, "serve-p50-us")

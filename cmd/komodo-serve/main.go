@@ -35,7 +35,6 @@ import (
 	"repro/internal/pool"
 	"repro/internal/replay"
 	"repro/internal/server"
-	"repro/internal/store"
 	"repro/internal/tenant"
 	"repro/komodo"
 )
@@ -60,7 +59,6 @@ func main() {
 	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "close a partial batch after this window (with -batch)")
 	batchQueue := flag.Int("batch-queue", 0, "pending batch-sign waiters before 429 queue_full (0 = 4x batch size)")
 	batchDedup := flag.Bool("batch-dedup", false, "coalesce identical (doc, tenant) signs within a batch onto one leaf")
-	groupCommit := flag.Bool("group-commit", false, "coalesce concurrent checkpoint appends into one WAL write+fsync group (with -state-dir)")
 	recordDir := flag.String("record-dir", "", "persist replayable traces of flight-retained requests here (empty: off; docs/REPLAY.md)")
 	tiers := flag.String("tiers", "", "tenant tiers: name:rate:burst:quota[:shedat];... (empty: no admission control)")
 	tenants := flag.String("tenants", "", "tenant tokens: token=tier,token=tier,... (with -tiers)")
@@ -75,12 +73,8 @@ func main() {
 
 	var ckpts *server.CheckpointStore
 	if *stateDir != "" {
-		var sopts []store.Option
-		if *groupCommit {
-			sopts = append(sopts, store.WithGroupCommit())
-		}
 		var err error
-		if ckpts, err = server.OpenCheckpointStore(*stateDir, sopts...); err != nil {
+		if ckpts, err = server.OpenCheckpointStore(*stateDir); err != nil {
 			fail(err)
 		}
 		defer ckpts.Close()

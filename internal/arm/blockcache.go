@@ -9,15 +9,15 @@ import (
 
 // The superblock translation cache: a per-Machine, direct-mapped map from a
 // block-head PC to the decoded straight-line run starting there, executed by
-// a fused loop. Where the predecode cache (decodecache.go) amortises the
-// decode of one instruction, the block cache amortises the *dispatch*: one
-// tag + fetch-context + TLB-epoch + page-version check covers every
-// instruction in the block, and the per-instruction retirement bookkeeping
-// (cycle charge, retired count, class counters, elided-TLB-hit recording) is
-// batched at block exit.
+// a fused loop. It amortises both the fetch-translate + decode of every
+// instruction and the per-instruction *dispatch*: one tag + fetch-context +
+// TLB-epoch + page-version check covers every instruction in the block, and
+// the per-instruction retirement bookkeeping (cycle charge, retired count,
+// class counters, elided-TLB-hit recording) is batched at block exit.
 //
-// Semantic invisibility is the same contract the predecode cache carries,
-// extended from one instruction to a run of them. The argument:
+// Semantic invisibility is the contract: the interpreter with the cache
+// must be bit-identical to the interpreter without it, including cycle
+// charges and TLB telemetry. The argument:
 //
 //   - Blocks are straight-line: they end at (and include) any instruction
 //     that can redirect control or change the execution regime — branches,
@@ -25,16 +25,23 @@ import (
 //     system-register writes (TLBIALL, TTBR0, SCR). Between block entry and
 //     that terminator the slow path would fetch consecutive words from the
 //     same page.
+//   - The fetch context (fetchCtx) pins the translation regime: secure
+//     user mode under the same TTBR0, or an untranslated fetch in the same
+//     world. Covers world switches, mode changes and TTBR0 loads.
 //   - Blocks never cross a page boundary, so one page-version check at
-//     block entry covers every word the block predecoded, using exactly the
-//     per-page write versioning that invalidates the predecode cache.
-//   - A TLB-epoch match at block entry means the fill-time translation of
-//     the block's page is still the one the TLB serves, so every fetch the
-//     block elides would have been a TLB hit charging no walk cycles; the
-//     elided hits are batch-recorded so the TLB telemetry still describes
-//     the architectural fetch stream. A stale epoch revalidates through one
-//     architectural fetch of the block head (charging the walk the slow
-//     path would charge) plus a word-compare of the cached run.
+//     block entry covers every word the block predecoded. mem.Physical
+//     bumps a per-page version on every write (CPU, DMA, physical tamper,
+//     restore-copy), so a matching version means the words are unmodified.
+//   - A TLB-epoch match at block entry means no TLB flush or
+//     consistency-breaking event (page-table store, TTBR0 load) happened
+//     since the fill, so the fill-time translation of the block's page is
+//     still the one the TLB serves, and every fetch the block elides would
+//     have been a TLB hit charging no walk cycles; the elided hits are
+//     batch-recorded so the TLB telemetry still describes the architectural
+//     fetch stream. A stale epoch revalidates through one architectural
+//     fetch of the block head (charging the walk the slow path would
+//     charge) plus a word-compare of the cached run, so warm blocks
+//     survive the monitor's per-crossing TLB flush.
 //   - Blocks only dispatch while interrupt delivery is quiescent (nothing
 //     pending, no injection countdown armed) and tracing is off; otherwise
 //     the per-instruction slow path runs, which checks interrupts before
@@ -46,8 +53,8 @@ import (
 //     stale — instruction and invalidates itself, so self-modifying code
 //     executes its patched words just like the uncached interpreter.
 //
-// Machine.Restore drops the whole cache, mirroring the predecode cache's
-// strict invalidation on snapshot restore.
+// Machine.Restore drops the whole cache (strict invalidation on snapshot
+// restore).
 const (
 	bcacheBits  = 11
 	bcacheSize  = 1 << bcacheBits // 2048 entries, direct-mapped on head-PC word index
@@ -133,6 +140,17 @@ func (b *blockCache) reset() {
 		}
 	}
 	b.resets++
+}
+
+// fetchCtx encodes the current translation regime into a comparable word.
+// Secure user mode translates through TTBR0 (page-aligned, so bit 0 is
+// free to mark "translated"); every other mode/world fetches physical
+// addresses directly and is keyed by the world alone (bit 0 clear).
+func (m *Machine) fetchCtx() uint32 {
+	if m.cpsr.Mode == ModeUsr && m.World() == mem.Secure {
+		return m.ttbr0[mem.Secure] | 1
+	}
+	return uint32(m.World()) << 1
 }
 
 // blockEnds reports whether an instruction must terminate a superblock: it

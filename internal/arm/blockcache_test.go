@@ -10,6 +10,44 @@ import (
 	"repro/internal/rng"
 )
 
+// assertSameRun checks the two machines are architecturally
+// indistinguishable after running the same program — the block cache's
+// semantic-invisibility contract, including the cycle model.
+func assertSameRun(t *testing.T, on, off *Machine) {
+	t.Helper()
+	for _, r := range []Reg{R0, R1, R2, R3, R4, R5, R6, R7, R8, R9} {
+		if a, b := on.Reg(r), off.Reg(r); a != b {
+			t.Errorf("%v: cached %#x, uncached %#x", r, a, b)
+		}
+	}
+	if a, b := on.PC(), off.PC(); a != b {
+		t.Errorf("PC: cached %#x, uncached %#x", a, b)
+	}
+	if a, b := on.CPSR(), off.CPSR(); a != b {
+		t.Errorf("CPSR: cached %+v, uncached %+v", a, b)
+	}
+	if a, b := on.Retired(), off.Retired(); a != b {
+		t.Errorf("retired: cached %d, uncached %d", a, b)
+	}
+	if a, b := on.Cyc.Total(), off.Cyc.Total(); a != b {
+		t.Errorf("cycles: cached %d, uncached %d", a, b)
+	}
+}
+
+func runToSVC(t *testing.T, m *Machine) {
+	t.Helper()
+	m.SetCPSR(PSR{Mode: ModeUsr, I: false})
+	m.SetPC(0)
+	if tr := m.Run(100); tr.Kind != TrapSVC {
+		t.Fatalf("trap = %v (%v at %#x), want SVC", tr.Kind, tr.FaultErr, tr.FaultAddr)
+	}
+}
+
+func tlbCounters(m *Machine) (hits, misses uint64) {
+	c := m.TLB.Counters()
+	return c.Hits, c.Misses
+}
+
 // TestBlockCacheWarmLoopStats: a hot loop must be served from the block
 // cache after the first pass (hits accumulate, mean block length > 1) with
 // results identical to the per-instruction path.
@@ -74,6 +112,45 @@ func TestBlockCacheSelfModifyStoreAhead(t *testing.T) {
 	assertSameRun(t, on, off)
 	if s := on.BlockCacheStats(); s.Invalidated == 0 {
 		t.Fatalf("self-modifying store did not invalidate the block: %+v", s)
+	}
+}
+
+// TestBlockCacheSelfModifyLoopBack: a store that patches an instruction
+// of an *earlier*, already-cached block must force that block to be
+// rebuilt when the loop branches back to it. The program executes
+// "movw r2, #1", patches that very word to "movw r2, #99" from a later
+// block, and loops back over it.
+func TestBlockCacheSelfModifyLoopBack(t *testing.T) {
+	patchImg, err := asm.New().Movw(R2, 99).Assemble(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() *Machine {
+		p := asm.New()
+		p.Label("target").Movw(R2, 1). // pass 1: r2=1; pass 2 (patched): r2=99
+						CmpI(R5, 1).
+						Beq("done").
+						MovLabel(R0, "target").
+						MovImm32(R1, patchImg[0]).
+						Str(R1, R0, 0). // self-modify: overwrite "target"
+						Movw(R5, 1).
+						B("target").
+						Label("done").Hlt()
+		return newTestMachine(t, p)
+	}
+	on, off := build(), build()
+	off.EnableBlockCache(false)
+	runToHalt(t, on)
+	runToHalt(t, off)
+	if on.Reg(R2) != 99 {
+		t.Fatalf("r2 = %d, want 99 (stale cached block executed)", on.Reg(R2))
+	}
+	assertSameRun(t, on, off)
+	// Two invalidations: the storing block stops itself after the store,
+	// and the earlier "target" block fails its page-version check when
+	// the loop branches back to it.
+	if s := on.BlockCacheStats(); s.Invalidated < 2 {
+		t.Fatalf("patched code page did not invalidate both cached blocks: %+v", s)
 	}
 }
 

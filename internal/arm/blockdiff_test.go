@@ -13,11 +13,11 @@ import (
 
 // The block-level differential harness: seeded random KARM programs —
 // branches, loops, loads/stores, SVC/SMC, TLB flushes, stores into the code
-// page, undecodable words — run in lockstep on three machines (superblock
-// cache, decode cache only, fully uncached). At every trap boundary the
-// architectural state, the cycle total and the TLB telemetry must be
-// bit-identical: this is the cache hierarchy's semantic-invisibility
-// contract, checked over program shapes no hand-written test enumerates.
+// page, undecodable words — run in lockstep on two machines (superblock
+// cache on, fully uncached). At every trap boundary the architectural
+// state, the cycle total and the TLB telemetry must be bit-identical: this
+// is the block cache's semantic-invisibility contract, checked over program
+// shapes no hand-written test enumerates.
 
 // diffSeeds is the committed regression corpus: seeds that exercised
 // distinct interpreter paths when the harness was written (self-modifying
@@ -73,7 +73,7 @@ func genDiffProgram(r *rand.Rand) []uint32 {
 				Imm: uint32(r.Intn(diffDataWords)) * 4}
 		case p < 75:
 			// Store into the code page via R9: exercises block
-			// self-invalidation and decode-cache page versioning.
+			// self-invalidation and page versioning.
 			in = Instr{Op: OpSTR, Rd: reg(), Rn: R9,
 				Imm: uint32(r.Intn(diffCodeWords)) * 4}
 		case p < 88:
@@ -231,11 +231,11 @@ func compareDiffMemory(t *testing.T, round int, secure bool, ref, got diffMachin
 	}
 }
 
-// runDiffSeed runs one generated program on the three configurations in
+// runDiffSeed runs one generated program on both configurations in
 // lockstep. After each Run boundary the trap kinds must agree and the full
 // state must match; the machines are then re-steered to a deterministic
-// code offset (breaking infinite loops and abort storms identically on all
-// three) and run again.
+// code offset (breaking infinite loops and abort storms identically on
+// both) and run again.
 func runDiffSeed(t *testing.T, seed int64, enclave bool) {
 	words := genDiffProgram(rand.New(rand.NewSource(seed)))
 	build := func(label string) diffMachine {
@@ -246,11 +246,8 @@ func runDiffSeed(t *testing.T, seed int64, enclave bool) {
 	}
 	ref := build("uncached")
 	ref.m.EnableBlockCache(false)
-	ref.m.EnableDecodeCache(false)
-	dec := build("decode-only")
-	dec.m.EnableBlockCache(false)
 	blk := build("block")
-	ms := []diffMachine{ref, dec, blk}
+	ms := []diffMachine{ref, blk}
 
 	codeVA := ref.m.Reg(R9)
 	runPSR := PSR{Mode: ModeSvc, I: true, F: true}
@@ -258,21 +255,14 @@ func runDiffSeed(t *testing.T, seed int64, enclave bool) {
 		runPSR = PSR{Mode: ModeUsr, I: false}
 	}
 	for round := 0; round < diffRounds; round++ {
-		var traps [3]Trap
-		for i := range ms {
-			traps[i] = ms[i].m.Run(diffChunk)
+		tr, tb := ref.m.Run(diffChunk), blk.m.Run(diffChunk)
+		if tb.Kind != tr.Kind {
+			t.Fatalf("round %d: trap %s %v, %s %v (fault %v)",
+				round, ref.label, tr.Kind, blk.label, tb.Kind, tb.FaultErr)
 		}
-		for i := 1; i < 3; i++ {
-			if traps[i].Kind != traps[0].Kind {
-				t.Fatalf("round %d: trap %s %v, %s %v (fault %v)",
-					round, ms[0].label, traps[0].Kind, ms[i].label,
-					traps[i].Kind, traps[i].FaultErr)
-			}
-			compareDiffState(t, round, ms[0], ms[i])
-		}
+		compareDiffState(t, round, ref, blk)
 		if round%8 == 7 {
-			compareDiffMemory(t, round, enclave, ms[0], ms[1])
-			compareDiffMemory(t, round, enclave, ms[0], ms[2])
+			compareDiffMemory(t, round, enclave, ref, blk)
 		}
 		// Deterministic Go-level "handler": re-steer every machine to the
 		// same in-program offset in the run mode. Exception entry banked
@@ -283,8 +273,7 @@ func runDiffSeed(t *testing.T, seed int64, enclave bool) {
 			ms[i].m.SetPC(codeVA + off)
 		}
 	}
-	compareDiffMemory(t, diffRounds, enclave, ms[0], ms[1])
-	compareDiffMemory(t, diffRounds, enclave, ms[0], ms[2])
+	compareDiffMemory(t, diffRounds, enclave, ref, blk)
 	if s := blk.m.BlockCacheStats(); s.Fills == 0 {
 		t.Fatalf("seed %d: block cache never filled (harness not exercising it): %+v", seed, s)
 	}

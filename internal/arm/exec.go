@@ -209,7 +209,7 @@ func (m *Machine) memWrite(addr, val uint32) error {
 }
 
 // fetchPA reads the instruction word at PC, returning the physical
-// address it resolved to (the predecode cache tags entries with it).
+// address it resolved to (the block cache tags entries with it).
 func (m *Machine) fetchPA() (pa, word uint32, err error) {
 	if m.cpsr.Mode == ModeUsr && m.World() == mem.Secure {
 		pa, err = m.translate(m.pc, false, true)
@@ -277,12 +277,13 @@ func (m *Machine) Run(budget int64) Trap {
 			// Dispatch declined; fall through to the single-instruction path.
 		}
 
-		insn, fetchFault, err := m.fetchDecode()
+		_, word, err := m.fetchPA()
 		if err != nil {
-			if fetchFault {
-				m.TakeException(TrapPrefetchAbort, m.pc)
-				return Trap{Kind: TrapPrefetchAbort, FaultAddr: m.pc, FaultErr: err}
-			}
+			m.TakeException(TrapPrefetchAbort, m.pc)
+			return Trap{Kind: TrapPrefetchAbort, FaultAddr: m.pc, FaultErr: err}
+		}
+		insn, err := Decode(word)
+		if err != nil {
 			m.TakeException(TrapUndef, m.pc)
 			return Trap{Kind: TrapUndef, FaultAddr: m.pc, FaultErr: err}
 		}

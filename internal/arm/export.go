@@ -82,7 +82,7 @@ func (m *Machine) ExportState() MachineState {
 
 // ImportState imposes an exported state on the machine. Like Snapshot
 // restore, the TLB comes back empty (always a legal TLB state) with only
-// the consistency flag preserved, and the predecode/block caches drop
+// the consistency flag preserved, and the block cache drops
 // everything from the abandoned timeline.
 func (m *Machine) ImportState(s MachineState) error {
 	for _, p := range s.SPSR {
@@ -120,7 +120,6 @@ func (m *Machine) ImportState(s MachineState) error {
 	if !s.TLBConsistent {
 		m.TLB.MarkInconsistent()
 	}
-	m.dc.reset()
 	m.bc.reset()
 	return nil
 }

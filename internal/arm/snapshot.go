@@ -111,11 +111,10 @@ func (m *Machine) Restore(s *Snapshot) error {
 	if !s.tlbConsistent {
 		m.TLB.MarkInconsistent()
 	}
-	// Strict invalidation on snapshot restore: the predecode and block
-	// caches may hold instructions from the abandoned timeline. (Delta
-	// restore also bumps restored pages' versions, but dropping
-	// everything here keeps the invalidation argument local.)
-	m.dc.reset()
+	// Strict invalidation on snapshot restore: the block cache may hold
+	// instructions from the abandoned timeline. (Delta restore also bumps
+	// restored pages' versions, but dropping everything here keeps the
+	// invalidation argument local.)
 	m.bc.reset()
 	return nil
 }

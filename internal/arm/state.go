@@ -79,13 +79,9 @@ type Machine struct {
 	probeFn    func(pc uint32, i *Instr)
 	probeArmed *atomic.Bool
 
-	// dc is the predecoded-instruction cache (decodecache.go) — pure
-	// simulator acceleration, semantically invisible. Lazily allocated
-	// on first fetch.
-	dc decodeCache
-	// bc is the superblock translation cache (blockcache.go) — the fused
-	// fast path in front of dc, same invisibility contract. Lazily
-	// allocated on first dispatch.
+	// bc is the superblock translation cache (blockcache.go) — pure
+	// simulator acceleration, semantically invisible. Lazily allocated on
+	// first dispatch.
 	bc blockCache
 }
 

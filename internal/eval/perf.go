@@ -10,8 +10,7 @@ import (
 )
 
 // PerfReport captures host-side hot-path performance: how fast the
-// simulator retires instructions across the interpreter's three
-// configurations (superblock cache, decode cache only, fully uncached),
+// simulator retires instructions with and without the superblock cache,
 // how much memory the dirty-page delta restore moves per serving-style
 // request compared with a full copy, and the wall-clock request latency
 // distribution of the snapshot/restore serving loop.
@@ -25,21 +24,15 @@ type PerfReport struct {
 
 	// Interpreter throughput on the notary's hash loop, simulated
 	// instructions per host second (no restores: pure interpretation).
-	// InstrPerSec is the default configuration (superblock + decode
-	// cache); DecodeOnly disables the block cache; Uncached disables both.
-	InstrPerSec           float64 `json:"instr_per_sec"`
-	InstrPerSecDecodeOnly float64 `json:"instr_per_sec_decode_only"`
-	InstrPerSecUncached   float64 `json:"instr_per_sec_uncached"`
-	// BlockCacheSpeedup is block-cached over decode-only; DecodeCacheSpeedup
-	// is decode-only over uncached (the two layers' separate contributions).
-	BlockCacheSpeedup  float64 `json:"block_cache_speedup"`
-	DecodeCacheSpeedup float64 `json:"decode_cache_speedup"`
-	// BlockCacheHitRate/MeanBlockLen describe the default run; the decode
-	// hit rate comes from the decode-only run (with the block cache on,
-	// the per-instruction decode path barely executes).
-	BlockCacheHitRate  float64 `json:"block_cache_hit_rate"`
-	MeanBlockLen       float64 `json:"mean_block_len"`
-	DecodeCacheHitRate float64 `json:"decode_cache_hit_rate"`
+	// InstrPerSec is the default configuration (superblock cache on);
+	// Uncached disables it, leaving the per-instruction interpreter.
+	InstrPerSec         float64 `json:"instr_per_sec"`
+	InstrPerSecUncached float64 `json:"instr_per_sec_uncached"`
+	// BlockCacheSpeedup is block-cached over uncached.
+	BlockCacheSpeedup float64 `json:"block_cache_speedup"`
+	// BlockCacheHitRate/MeanBlockLen describe the default run.
+	BlockCacheHitRate float64 `json:"block_cache_hit_rate"`
+	MeanBlockLen      float64 `json:"mean_block_len"`
 
 	// Restore traffic for one notary request: words the delta path
 	// actually copied vs. the full memory image a naive restore copies.
@@ -53,23 +46,12 @@ type PerfReport struct {
 	ServeP95Micros float64 `json:"serve_p95_us"`
 }
 
-// perfConfig selects one of the interpreter's cache configurations.
-type perfConfig int
-
-const (
-	cfgBlock      perfConfig = iota // default: superblock + decode cache
-	cfgDecodeOnly                   // block cache off
-	cfgUncached                     // both caches off
-)
-
-// notarySystem boots a platform and loads the single-shared-page notary.
-func notarySystem(cfg perfConfig) (*komodo.System, *komodo.Enclave, error) {
+// notarySystem boots a platform and loads the single-shared-page notary,
+// with the superblock cache on unless uncached is set.
+func notarySystem(uncached bool) (*komodo.System, *komodo.Enclave, error) {
 	opts := []komodo.Option{komodo.WithSeed(1)}
-	switch cfg {
-	case cfgDecodeOnly:
+	if uncached {
 		opts = append(opts, komodo.WithoutBlockCache())
-	case cfgUncached:
-		opts = append(opts, komodo.WithoutBlockCache(), komodo.WithoutDecodeCache())
 	}
 	sys, err := komodo.New(opts...)
 	if err != nil {
@@ -96,18 +78,17 @@ func testDoc(words int) []uint32 {
 
 // throughputStats carries one configuration's measurement.
 type throughputStats struct {
-	instrPerSec   float64
-	decodeHitRate float64
-	blockHitRate  float64
-	meanBlockLen  float64
+	instrPerSec  float64
+	blockHitRate float64
+	meanBlockLen float64
 }
 
 // throughput measures simulated instructions retired per host second over
 // iters back-to-back notary runs (no snapshot/restore in the loop), plus
-// the cache hit rates and mean block length for the run.
-func throughput(cfg perfConfig, iters, docWords int) (throughputStats, error) {
+// the block cache hit rate and mean block length for the run.
+func throughput(uncached bool, iters, docWords int) (throughputStats, error) {
 	var ts throughputStats
-	sys, enc, err := notarySystem(cfg)
+	sys, enc, err := notarySystem(uncached)
 	if err != nil {
 		return ts, err
 	}
@@ -126,10 +107,6 @@ func throughput(cfg perfConfig, iters, docWords int) (throughputStats, error) {
 	if wall <= 0 {
 		return ts, fmt.Errorf("eval: perf run too fast to time")
 	}
-	dc := m.DecodeCacheStats()
-	if total := dc.Hits + dc.Misses; total > 0 {
-		ts.decodeHitRate = float64(dc.Hits) / float64(total)
-	}
 	bc := m.BlockCacheStats()
 	if total := bc.Hits + bc.Misses; total > 0 {
 		ts.blockHitRate = float64(bc.Hits) / float64(total)
@@ -143,7 +120,7 @@ func throughput(cfg perfConfig, iters, docWords int) (throughputStats, error) {
 // then per request write the doc, run the notary, restore. Returns the
 // per-request wall latencies and delta-restore traffic.
 func serveLoop(reqs, docWords int) (lat []time.Duration, deltaWords, fullWords uint64, err error) {
-	sys, enc, err := notarySystem(cfgBlock)
+	sys, enc, err := notarySystem(false)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -173,14 +150,14 @@ func serveLoop(reqs, docWords int) (lat []time.Duration, deltaWords, fullWords u
 
 // Perf measures the serving hot path: reqs notary requests through the
 // snapshot/restore loop, and reqs iterations of the pure compute loop per
-// cache configuration (reqs/4 for the slower decode-only and uncached
-// configurations — enough for a stable rate).
+// cache configuration (reqs/4 for the slower uncached configuration —
+// enough for a stable rate).
 func Perf(reqs int) (*PerfReport, error) {
 	if reqs < 8 {
 		reqs = 8
 	}
 	const docWords = 64
-	block, err := throughput(cfgBlock, reqs, docWords)
+	block, err := throughput(false, reqs, docWords)
 	if err != nil {
 		return nil, err
 	}
@@ -188,11 +165,7 @@ func Perf(reqs int) (*PerfReport, error) {
 	if slowReqs < 2 {
 		slowReqs = 2
 	}
-	decodeOnly, err := throughput(cfgDecodeOnly, slowReqs, docWords)
-	if err != nil {
-		return nil, err
-	}
-	uncached, err := throughput(cfgUncached, slowReqs, docWords)
+	uncached, err := throughput(true, slowReqs, docWords)
 	if err != nil {
 		return nil, err
 	}
@@ -210,21 +183,16 @@ func Perf(reqs int) (*PerfReport, error) {
 		Requests:               reqs,
 		DocWords:               docWords,
 		InstrPerSec:            block.instrPerSec,
-		InstrPerSecDecodeOnly:  decodeOnly.instrPerSec,
 		InstrPerSecUncached:    uncached.instrPerSec,
 		BlockCacheHitRate:      block.blockHitRate,
 		MeanBlockLen:           block.meanBlockLen,
-		DecodeCacheHitRate:     decodeOnly.decodeHitRate,
 		RestoreWordsPerRequest: deltaWords,
 		RestoreWordsFullCopy:   fullWords,
 		ServeP50Micros:         p(0.50),
 		ServeP95Micros:         p(0.95),
 	}
-	if decodeOnly.instrPerSec > 0 {
-		r.BlockCacheSpeedup = block.instrPerSec / decodeOnly.instrPerSec
-	}
 	if uncached.instrPerSec > 0 {
-		r.DecodeCacheSpeedup = decodeOnly.instrPerSec / uncached.instrPerSec
+		r.BlockCacheSpeedup = block.instrPerSec / uncached.instrPerSec
 	}
 	if deltaWords > 0 {
 		r.RestoreReduction = float64(fullWords) / float64(deltaWords)

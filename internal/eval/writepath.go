@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/pool"
 	"repro/internal/server"
-	"repro/internal/store"
 )
 
 // WritePathRow is one cell of the adaptive write-path sweep: the same
@@ -25,7 +24,7 @@ import (
 // against one write-path configuration. The headline columns are
 // CrossingsPerOK (enclave crossings per signed request, amortised by
 // batching and further by dedup under skew) and FsyncsPerOK (WAL fsyncs
-// per signed request, amortised by batching and group commit). Every
+// per signed request, amortised by batching). Every
 // batch receipt is verified offline in-run; a row only lands if all of
 // them check out.
 type WritePathRow struct {
@@ -40,7 +39,6 @@ type WritePathRow struct {
 	Dedup          uint64  `json:"dedup_total"`
 	KFinal         int     `json:"k_final"`
 	MeanBatch      float64 `json:"mean_batch_size"`
-	MeanGroup      float64 `json:"mean_group_size"`
 	Throughput     float64 `json:"requests_per_sec"`
 	P50Micros      float64 `json:"p50_us"`
 	P95Micros      float64 `json:"p95_us"`
@@ -53,7 +51,6 @@ type wpConfig struct {
 	maxK  int  // BatchMaxSize (0 = unbatched)
 	minK  int  // BatchMinSize (0 = fixed K)
 	dedup bool // BatchDedup
-	group bool // store group commit
 }
 
 // zipfCorpus builds the deterministic shared document corpus for skewed
@@ -82,18 +79,13 @@ func writePathRun(reqs, clients int, cfg wpConfig, zipf bool) (WritePathRow, err
 		return row, err
 	}
 	defer os.RemoveAll(dir)
-	var sopts []store.Option
-	if cfg.group {
-		sopts = append(sopts, store.WithGroupCommit())
-	}
-	cs, err := server.OpenCheckpointStore(dir, sopts...)
+	cs, err := server.OpenCheckpointStore(dir)
 	if err != nil {
 		return row, err
 	}
 	defer cs.Close()
 
-	// Size > 1 so concurrent batch seals overlap on the WAL and group
-	// commit has something to coalesce.
+	// Size > 1 so concurrent batch seals overlap on the WAL.
 	p, err := pool.New(pool.Config{
 		Size:      4,
 		Boot:      server.Blueprint(42),
@@ -223,7 +215,6 @@ func writePathRun(reqs, clients int, cfg wpConfig, zipf bool) (WritePathRow, err
 	if st.Store != nil {
 		row.Fsyncs = st.Store.Fsyncs
 		row.FsyncsPerOK = float64(st.Store.Fsyncs) / float64(len(all))
-		row.MeanGroup = st.Store.MeanGroup()
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -237,19 +228,18 @@ func writePathRun(reqs, clients int, cfg wpConfig, zipf bool) (WritePathRow, err
 
 // WritePathSweep runs the adaptive write-path comparison behind
 // BENCH_10.json (docs/PERFORMANCE.md §Write path): unbatched, three
-// fixed batch sizes, and the full adaptive stack (floating K + dedup +
-// group commit), each at a light (2-client) and heavy (64-client) load
+// fixed batch sizes, and the full adaptive stack (floating K + dedup),
+// each at a light (2-client) and heavy (64-client) load
 // level with durable counters checkpointed after every sign, plus a
 // Zipf-skewed heavy cell for fixed K=16 versus the adaptive stack so
 // cross-request dedup has repeats to coalesce.
 func WritePathSweep(reqs int) ([]WritePathRow, error) {
 	configs := []wpConfig{
 		{name: "unbatched"},
-		{name: "unbatched+group", group: true},
 		{name: "fixed K=4", maxK: 4},
 		{name: "fixed K=16", maxK: 16},
 		{name: "fixed K=32", maxK: 32},
-		{name: "adaptive+dedup+group", maxK: 32, minK: 2, dedup: true, group: true},
+		{name: "adaptive+dedup", maxK: 32, minK: 2, dedup: true},
 	}
 	var rows []WritePathRow
 	for _, clients := range []int{2, 64} {
@@ -268,7 +258,7 @@ func WritePathSweep(reqs int) ([]WritePathRow, error) {
 	// Skewed heavy load: repeats within the batch window are what dedup
 	// coalesces, so the comparison that matters is equal-load fixed K
 	// versus the adaptive stack.
-	for _, cfg := range []wpConfig{configs[3], configs[5]} {
+	for _, cfg := range []wpConfig{configs[2], configs[4]} {
 		clients := 64
 		n := reqs
 		if n < 8*clients {

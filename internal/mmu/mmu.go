@@ -150,9 +150,8 @@ type TLB struct {
 	// translation might resolve differently on the next walk: a flush
 	// (entries drop, the walk re-reads possibly modified tables) or a
 	// consistency-breaking store/TTBR load. Derived caches keyed on a
-	// translation result (the arm package's predecoded-instruction
-	// cache) validate against it instead of hooking every maintenance
-	// call site.
+	// translation result (the arm package's superblock cache) validate
+	// against it instead of hooking every maintenance call site.
 	epoch uint64
 
 	// One-entry MRU cache in front of the map: instruction fetch hits the
@@ -200,16 +199,11 @@ func (t *TLB) Fill(va, paBase uint32, p Perms) {
 	t.lastVA, t.last, t.lastOK = page, e, true
 }
 
-// RecordHit counts a lookup that a derived cache proved would hit without
-// performing it. The arm package's predecode cache skips Lookup on its
-// fast path (a matching epoch guarantees the fill-time translation is
-// still cached here); counting the hit it elided keeps the TLB hit-rate
-// telemetry describing the same architectural fetch stream either way.
-func (t *TLB) RecordHit() { t.hits++ }
-
 // RecordHits batch-records n elided lookups that would all have hit: the
 // arm package's superblock cache proves a whole block's fetches would hit
-// (epoch match at block entry) and records them in one call at block exit.
+// (epoch match at block entry) and records them in one call at block exit,
+// so the TLB hit-rate telemetry describes the same architectural fetch
+// stream with the cache on or off.
 func (t *TLB) RecordHits(n uint64) { t.hits += n }
 
 // Flush invalidates all entries and marks the TLB consistent (the model

@@ -377,7 +377,6 @@ func encHeader(e *enc, h Header, nops int) {
 	set(0, b.Static)
 	set(1, b.Checked)
 	set(2, b.Optimised)
-	set(3, b.NoDecodeCache)
 	set(4, b.NoBlockCache)
 	e.u8(flags)
 	e.u64(uint64(b.Budget))
@@ -392,10 +391,16 @@ func decHeader(d *dec) (Header, int) {
 	h.Boot.Seed = d.u64()
 	h.Boot.Protection = komodo.Protection(d.u8())
 	flags := d.u8()
+	// Bit 3 is reserved: older traces set it to disable an interpreter
+	// cache that has since been removed. That cache was semantically
+	// invisible, so the bit is accepted and ignored and those traces
+	// still replay. Bits 5-7 were never defined.
+	if flags&0xE0 != 0 {
+		d.fail("unknown boot flags %#x", flags)
+	}
 	h.Boot.Static = flags&1 != 0
 	h.Boot.Checked = flags&2 != 0
 	h.Boot.Optimised = flags&4 != 0
-	h.Boot.NoDecodeCache = flags&8 != 0
 	h.Boot.NoBlockCache = flags&16 != 0
 	h.Boot.Budget = int64(d.u64())
 	h.Boot.SecureSize = d.u32()

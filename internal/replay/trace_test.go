@@ -2,8 +2,11 @@ package replay_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
+	"reflect"
 	"testing"
 
 	"repro/internal/replay"
@@ -71,6 +74,45 @@ func TestTraceTamperFailsClosed(t *testing.T) {
 		}
 		if !errors.Is(err, replay.ErrBadTrace) && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
 			t.Fatalf("flipped byte %d: unexpected error class %v", pos, err)
+		}
+	}
+}
+
+// setBootFlags returns a copy of an encoded trace with boot-flag bits
+// ORed into its header frame, re-CRCed so only the header decoder can
+// object. Layout: magic+version (8), frame length+CRC (8), then the
+// payload: frame type (1), seed (8), protection (1), flags.
+func setBootFlags(raw []byte, bits byte) []byte {
+	const frameStart, flagsOff = 8, 8 + 8 + 1 + 8 + 1
+	mut := append([]byte{}, raw...)
+	mut[flagsOff] |= bits
+	n := binary.LittleEndian.Uint32(mut[frameStart:])
+	payload := mut[frameStart+8 : frameStart+8+int(n)]
+	binary.LittleEndian.PutUint32(mut[frameStart+4:], crc32.ChecksumIEEE(payload))
+	return mut
+}
+
+// TestTraceHeaderBootFlags: the reserved boot-flag bit 3 (once the
+// switch for a removed, semantically invisible interpreter cache) is
+// accepted and ignored, so traces that set it still decode to the same
+// trace; the never-defined bits 5-7 fail closed.
+func TestTraceHeaderBootFlags(t *testing.T) {
+	raw := encodedTrace(t)
+	want, err := replay.ReadTrace(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := replay.ReadTrace(bytes.NewReader(setBootFlags(raw, 1<<3)))
+	if err != nil {
+		t.Fatalf("reserved bit 3 rejected: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("reserved bit 3 changed the decoded trace")
+	}
+	for bit := 5; bit <= 7; bit++ {
+		tr, err := replay.ReadTrace(bytes.NewReader(setBootFlags(raw, 1<<bit)))
+		if !errors.Is(err, replay.ErrBadTrace) || tr != nil {
+			t.Fatalf("boot flag bit %d: trace %v, err %v; want ErrBadTrace", bit, tr != nil, err)
 		}
 	}
 }

@@ -366,7 +366,7 @@ func TestDedupReceiptsProperty(t *testing.T) {
 }
 
 // TestAdaptiveOffDifferential pins the off-switch contract: a server
-// with the adaptive/dedup/group-commit knobs present but switched off
+// with the adaptive and dedup knobs present but switched off
 // produces byte-identical responses, an identical counter lineage, and
 // an identical checkpoint WAL to the plain fixed-K server — including on
 // a workload full of duplicate documents that dedup WOULD coalesce.

@@ -44,9 +44,8 @@ type SavedCheckpoint struct {
 }
 
 // CheckpointStore persists per-worker notary checkpoints. Safe for
-// concurrent use: Saves append to the WAL without holding a common
-// mutex across the write, so with store.WithGroupCommit concurrent
-// checkpoints coalesce into shared fsync groups.
+// concurrent use: Saves append to the WAL without holding the map mutex
+// across the write, so readers of the latest set never wait on an fsync.
 type CheckpointStore struct {
 	// cmu orders saves against compaction: every Save holds it shared
 	// for append + map update, Compact takes it exclusively, so the
@@ -57,7 +56,7 @@ type CheckpointStore struct {
 	mu        sync.Mutex
 	st        *store.Store
 	latest    map[int]SavedCheckpoint
-	latestSeq map[int]uint64 // WAL seq backing latest, so stale group members lose
+	latestSeq map[int]uint64 // WAL seq backing latest, so a stale Save loses
 	dirty     int            // records appended since the last compaction
 }
 
@@ -102,8 +101,7 @@ func OpenCheckpointStore(dir string, opts ...store.Option) (*CheckpointStore, er
 }
 
 // Save durably records worker's notary checkpoint at the given counter.
-// The WAL append runs outside any map mutex, so concurrent Saves from
-// different sealed batches can share one fsync group.
+// The WAL append runs outside the map mutex.
 func (c *CheckpointStore) Save(worker int, counter uint32, ckpt *komodo.Checkpoint) error {
 	blob, err := ckpt.MarshalBinary()
 	if err != nil {
@@ -121,9 +119,9 @@ func (c *CheckpointStore) Save(worker int, counter uint32, ckpt *komodo.Checkpoi
 		return err
 	}
 	c.mu.Lock()
-	// Group commits can complete two Saves for one worker in either
-	// map-update order; the one the WAL ordered later wins, matching
-	// what recovery would replay.
+	// Two concurrent Saves for one worker can reach the map update in
+	// either order once their appends return; the one the WAL ordered
+	// later wins, matching what recovery would replay.
 	if seq >= c.latestSeq[worker] {
 		c.latest[worker] = s
 		c.latestSeq[worker] = seq
@@ -173,7 +171,7 @@ func (c *CheckpointStore) compact() {
 }
 
 // StoreStats reports the underlying WAL's write-path counters (appends,
-// fsyncs, commit-group sizes) for /v1/stats and /metrics.
+// fsyncs, sync failures) for /v1/stats and /metrics.
 func (c *CheckpointStore) StoreStats() store.Stats { return c.st.Stats() }
 
 // Latest returns worker's most recent checkpoint, if any.

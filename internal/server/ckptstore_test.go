@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/nwos"
 	"repro/internal/pool"
-	"repro/internal/store"
 	"repro/komodo"
 )
 
@@ -355,14 +354,14 @@ func TestRetryAfterClasses(t *testing.T) {
 	}
 }
 
-// TestCheckpointStoreConcurrentGroupSaves hammers Save from many
-// goroutines through a group-commit store (run with -race): every
-// worker's latest checkpoint must be its last save — in this handle and
-// after recovery — even though group completions can finish the map
-// updates out of order, and compaction runs concurrently with saves.
+// TestCheckpointStoreConcurrentGroupSaves hammers Save from a group of
+// goroutines (run with -race): every worker's latest checkpoint must be
+// its last save — in this handle and after recovery — even though
+// concurrent appends can finish their map updates out of WAL order, and
+// compaction runs concurrently with saves.
 func TestCheckpointStoreConcurrentGroupSaves(t *testing.T) {
 	dir := t.TempDir()
-	cs, err := OpenCheckpointStore(dir, store.WithGroupCommit())
+	cs, err := OpenCheckpointStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,18 +117,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			"WAL records appended (checkpoint saves).",
 			obs.Sample{Value: float64(ss.Appends)})
 		p.Counter("komodo_store_fsyncs_total",
-			"WAL fsyncs issued; with group commit, one per commit group.",
+			"WAL fsyncs issued, one per append.",
 			obs.Sample{Value: float64(ss.Fsyncs)})
-		p.Counter("komodo_store_group_commits_total",
-			"Commit groups flushed (equals appends without group commit).",
-			obs.Sample{Value: float64(ss.Groups)})
-		p.Gauge("komodo_store_group_size",
-			"Commit-group size: last flushed, largest, and mean.",
-			obs.Sample{Labels: obs.L("stat", "last"), Value: float64(ss.GroupLast)},
-			obs.Sample{Labels: obs.L("stat", "max"), Value: float64(ss.GroupSizeMax)},
-			obs.Sample{Labels: obs.L("stat", "mean"), Value: ss.MeanGroup()})
 		p.Counter("komodo_store_sync_failures_total",
-			"WAL fsync failures (each failed every member of its group).",
+			"WAL fsync failures (each rolled its append back).",
 			obs.Sample{Value: float64(ss.SyncFailures)})
 	}
 
@@ -223,11 +215,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Counter("komodo_mem_restore_words_total",
 		"Words copied by memory restores, summed over sampled idle workers.",
 		obs.Sample{Value: float64(tel.Mem.WordsCopied)})
-	p.Counter("komodo_decode_cache_total",
-		"Predecoded-instruction cache lookups by outcome, summed over sampled idle workers.",
-		obs.Sample{Labels: obs.L("event", "hit"), Value: float64(tel.DecodeCache.Hits)},
-		obs.Sample{Labels: obs.L("event", "miss"), Value: float64(tel.DecodeCache.Misses)},
-		obs.Sample{Labels: obs.L("event", "revalidated"), Value: float64(tel.DecodeCache.Revalidated)})
 	p.Counter("komodo_block_cache_total",
 		"Superblock translation-cache dispatches by outcome, summed over sampled idle workers.",
 		obs.Sample{Labels: obs.L("event", "hit"), Value: float64(tel.BlockCache.Hits)},

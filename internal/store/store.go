@@ -13,13 +13,6 @@
 //   - Append fsyncs before reporting success; if the fsync fails the
 //     record is rolled back (truncated) and the error surfaced, so "it
 //     returned nil" always means "it is on disk".
-//   - With WithGroupCommit, concurrent Appends coalesce into commit
-//     groups: one contiguous write and ONE fsync per group, each member
-//     acknowledged only after the group's fsync. A failed group fsync
-//     rolls the whole group back and fails every member, so the
-//     fail-closed contract is per-record even when the fsync is shared.
-//     Records keep their individual CRC frames, so torn-tail recovery is
-//     unchanged: a crash mid-group keeps the longest intact prefix.
 //   - Snapshots are written to a temp file, fsynced, then renamed into
 //     place (and the directory fsynced), so a reader never observes a
 //     half-written snapshot. Leftover *.tmp files from a crash are
@@ -54,9 +47,6 @@ const (
 // ErrTooLarge reports an Append payload over MaxPayloadBytes.
 var ErrTooLarge = errors.New("store: payload too large")
 
-// ErrClosed reports an Append after Close.
-var ErrClosed = errors.New("store: closed")
-
 // Record is one WAL entry.
 type Record struct {
 	Seq     uint64
@@ -70,44 +60,24 @@ type RecoveryInfo struct {
 	TruncatedBytes int64 // torn/corrupt tail bytes discarded
 }
 
-// Stats counts the store's write-path work. Without group commit every
-// append is its own group of one, so Fsyncs == Appends and the
-// group-size figures are all 1; with group commit Fsyncs counts the
-// shared syncs the appends were amortised over.
+// Stats counts the store's write-path work. Every append is fsynced on
+// its own, so Fsyncs counts the WAL syncs of successful appends.
 type Stats struct {
 	Appends      uint64 `json:"appends"`
 	Fsyncs       uint64 `json:"fsyncs"`
-	Groups       uint64 `json:"group_commits"`
-	GroupSizeSum uint64 `json:"group_size_sum"`
-	GroupSizeMax int    `json:"group_size_max"`
-	GroupLast    int    `json:"group_size_last"`
 	SyncFailures uint64 `json:"sync_failures"`
-}
-
-// MeanGroup is the mean commit-group size (0 before the first group).
-func (st Stats) MeanGroup() float64 {
-	if st.Groups == 0 {
-		return 0
-	}
-	return float64(st.GroupSizeSum) / float64(st.Groups)
 }
 
 // Merge folds another snapshot into st (fleet-wide aggregation).
 func (st *Stats) Merge(o Stats) {
 	st.Appends += o.Appends
 	st.Fsyncs += o.Fsyncs
-	st.Groups += o.Groups
-	st.GroupSizeSum += o.GroupSizeSum
-	if o.GroupSizeMax > st.GroupSizeMax {
-		st.GroupSizeMax = o.GroupSizeMax
-	}
-	st.GroupLast = o.GroupLast
 	st.SyncFailures += o.SyncFailures
 }
 
 // Store is a WAL + snapshot directory. Appends, Compact and the read
-// accessors are safe for concurrent use; with WithGroupCommit concurrent
-// Appends additionally share fsyncs.
+// accessors are safe for concurrent use; concurrent Appends are
+// serialised, each with its own write and fsync.
 type Store struct {
 	dir  string
 	wal  *os.File
@@ -119,25 +89,6 @@ type Store struct {
 	recs  []Record
 	rec   RecoveryInfo
 	stats Stats
-
-	// Group-commit coordinator (WithGroupCommit): appenders enqueue under
-	// gmu and wait on their done channel; a dedicated committer goroutine
-	// drains the queue a group at a time, so everything that arrives while
-	// one fsync is in flight shares the next one.
-	group   bool
-	gmu     sync.Mutex
-	gcond   *sync.Cond
-	gq      []*groupAppend
-	gclosed bool
-	gdone   chan struct{} // closed when the committer exits
-}
-
-type groupAppend struct {
-	kind    uint32
-	payload []byte
-	seq     uint64
-	err     error
-	done    chan struct{}
 }
 
 // Option configures Open.
@@ -147,14 +98,6 @@ type Option func(*Store)
 // the hook the crash-safety tests use to inject sync failures.
 func WithSync(fn func(*os.File) error) Option {
 	return func(s *Store) { s.sync = fn }
-}
-
-// WithGroupCommit turns on the group-commit coordinator: concurrent
-// Appends are written and fsynced as one group, acknowledged after the
-// group's single fsync. Serial appends behave exactly as without it
-// (groups of one, identical WAL bytes).
-func WithGroupCommit() Option {
-	return func(s *Store) { s.group = true }
 }
 
 // Open opens (creating if needed) the store in dir and recovers the
@@ -183,11 +126,6 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	if err := s.recover(); err != nil {
 		f.Close()
 		return nil, err
-	}
-	if s.group {
-		s.gcond = sync.NewCond(&s.gmu)
-		s.gdone = make(chan struct{})
-		go s.committer()
 	}
 	return s, nil
 }
@@ -272,27 +210,11 @@ func frameRecord(seq uint64, kind uint32, payload []byte) []byte {
 
 // Append durably adds a record and returns its sequence number. On any
 // write or sync failure the partial record is rolled back so the log
-// never holds an unacknowledged tail. With WithGroupCommit, concurrent
-// callers share one write+fsync; each still returns only after its
-// record is on disk (or after the whole group was rolled back).
+// never holds an unacknowledged tail.
 func (s *Store) Append(kind uint32, payload []byte) (uint64, error) {
 	if len(payload) > MaxPayloadBytes {
 		return 0, ErrTooLarge
 	}
-	if s.group {
-		p := &groupAppend{kind: kind, payload: payload, done: make(chan struct{})}
-		s.gmu.Lock()
-		if s.gclosed {
-			s.gmu.Unlock()
-			return 0, ErrClosed
-		}
-		s.gq = append(s.gq, p)
-		s.gcond.Signal()
-		s.gmu.Unlock()
-		<-p.done
-		return p.seq, p.err
-	}
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	seq := s.seq + 1
@@ -311,82 +233,7 @@ func (s *Store) Append(kind uint32, payload []byte) (uint64, error) {
 	s.recs = append(s.recs, Record{Seq: seq, Kind: kind, Payload: append([]byte(nil), payload...)})
 	s.stats.Appends++
 	s.stats.Fsyncs++
-	s.stats.Groups++
-	s.stats.GroupSizeSum++
-	s.stats.GroupLast = 1
-	if s.stats.GroupSizeMax < 1 {
-		s.stats.GroupSizeMax = 1
-	}
 	return seq, nil
-}
-
-// committer drains the group-commit queue: everything queued while the
-// previous group's fsync was in flight forms the next group.
-func (s *Store) committer() {
-	for {
-		s.gmu.Lock()
-		for len(s.gq) == 0 && !s.gclosed {
-			s.gcond.Wait()
-		}
-		grp := s.gq
-		s.gq = nil
-		closed := s.gclosed
-		s.gmu.Unlock()
-		if len(grp) > 0 {
-			s.commitGroup(grp)
-			continue
-		}
-		if closed {
-			close(s.gdone)
-			return
-		}
-	}
-}
-
-// commitGroup writes one contiguous run of frames and fsyncs once. A
-// write or sync failure truncates the whole group away and fails every
-// member — no member is ever acknowledged off a failed fsync.
-func (s *Store) commitGroup(grp []*groupAppend) {
-	s.mu.Lock()
-	var buf []byte
-	for i, p := range grp {
-		buf = append(buf, frameRecord(s.seq+1+uint64(i), p.kind, p.payload)...)
-	}
-	fail := func(err error) {
-		s.rollback()
-		s.mu.Unlock()
-		for _, p := range grp {
-			p.err = err
-			close(p.done)
-		}
-	}
-	if _, err := s.wal.WriteAt(buf, s.off); err != nil {
-		fail(err)
-		return
-	}
-	if err := s.sync(s.wal); err != nil {
-		s.stats.SyncFailures++
-		fail(fmt.Errorf("store: wal sync: %w", err))
-		return
-	}
-	for _, p := range grp {
-		s.seq++
-		p.seq = s.seq
-		s.recs = append(s.recs, Record{Seq: p.seq, Kind: p.kind, Payload: append([]byte(nil), p.payload...)})
-	}
-	s.off += int64(len(buf))
-	s.stats.Appends += uint64(len(grp))
-	s.stats.Fsyncs++
-	s.stats.Groups++
-	s.stats.GroupSizeSum += uint64(len(grp))
-	s.stats.GroupLast = len(grp)
-	if len(grp) > s.stats.GroupSizeMax {
-		s.stats.GroupSizeMax = len(grp)
-	}
-	s.mu.Unlock()
-	for _, p := range grp {
-		close(p.done)
-	}
 }
 
 // rollback truncates an unacknowledged tail; caller holds s.mu.
@@ -489,17 +336,5 @@ func validName(name string) bool {
 		!strings.HasSuffix(name, ".tmp") && name != walName
 }
 
-// Close stops the group-commit committer (flushing anything queued) and
-// closes the WAL. The store is unusable afterwards.
-func (s *Store) Close() error {
-	if s.group {
-		s.gmu.Lock()
-		if !s.gclosed {
-			s.gclosed = true
-			s.gcond.Broadcast()
-		}
-		s.gmu.Unlock()
-		<-s.gdone
-	}
-	return s.wal.Close()
-}
+// Close closes the WAL. The store is unusable afterwards.
+func (s *Store) Close() error { return s.wal.Close() }

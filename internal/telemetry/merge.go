@@ -50,12 +50,6 @@ func Merge(snaps ...Snapshot) Snapshot {
 		out.Mem.FullRestores += s.Mem.FullRestores
 		out.Mem.WordsCopied += s.Mem.WordsCopied
 		out.Mem.PagesCopied += s.Mem.PagesCopied
-		out.DecodeCache.Hits += s.DecodeCache.Hits
-		out.DecodeCache.Misses += s.DecodeCache.Misses
-		out.DecodeCache.Revalidated += s.DecodeCache.Revalidated
-		out.DecodeCache.Fills += s.DecodeCache.Fills
-		out.DecodeCache.Resets += s.DecodeCache.Resets
-		out.DecodeCache.Enabled = out.DecodeCache.Enabled || s.DecodeCache.Enabled
 		out.BlockCache.Hits += s.BlockCache.Hits
 		out.BlockCache.Misses += s.BlockCache.Misses
 		out.BlockCache.Revalidated += s.BlockCache.Revalidated

@@ -27,19 +27,22 @@ func NewRing(capacity int) *Ring {
 	return &Ring{buf: make([]Event, capacity)}
 }
 
-// appendNext assigns the next sequence number from seq and stores the
-// event, both under the ring lock, returning the assigned sequence.
-func (r *Ring) appendNext(seq *atomic.Uint64, e Event) uint64 {
+// appendNext assigns the next sequence number from seq, stores the event
+// and forwards it to sink, all under the ring lock, so concurrent
+// producers reach the sink in sequence order (lock order: ring, then
+// the sink's own lock).
+func (r *Ring) appendNext(seq *atomic.Uint64, e Event, sink Sink) {
 	if r == nil {
-		return seq.Add(1) - 1
+		e.Seq = seq.Add(1) - 1
+		sink.Emit(e)
+		return
 	}
 	r.mu.Lock()
-	s := seq.Add(1) - 1
-	e.Seq = s
+	defer r.mu.Unlock()
+	e.Seq = seq.Add(1) - 1
 	r.buf[r.total%uint64(len(r.buf))] = e
 	r.total++
-	r.mu.Unlock()
-	return s
+	sink.Emit(e)
 }
 
 // Append stores an event carrying its own sequence number (tests and

@@ -61,17 +61,6 @@ type MemStats struct {
 	PagesCopied   uint64 `json:"pages_copied"`
 }
 
-// DecodeCacheStats is the interpreter's predecoded-instruction cache
-// view (internal/arm), filled in by the platform.
-type DecodeCacheStats struct {
-	Hits        uint64 `json:"hits"`
-	Misses      uint64 `json:"misses"`
-	Revalidated uint64 `json:"revalidated"`
-	Fills       uint64 `json:"fills"`
-	Resets      uint64 `json:"resets"`
-	Enabled     bool   `json:"enabled"`
-}
-
 // BlockCacheStats is the interpreter's superblock translation cache view
 // (internal/arm), filled in by the platform. Blocks/BlockInsns give the
 // mean dispatched block length.
@@ -136,7 +125,6 @@ type Snapshot struct {
 	InsnClasses map[string]uint64 `json:"insn_classes"`
 	TLB         TLBStats          `json:"tlb"`
 	Mem         MemStats          `json:"mem"`
-	DecodeCache DecodeCacheStats  `json:"decode_cache"`
 	BlockCache  BlockCacheStats   `json:"block_cache"`
 	// PageCensus counts secure pages by current PageDB type (filled by
 	// the platform from the decoded PageDB).

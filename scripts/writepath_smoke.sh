@@ -1,7 +1,7 @@
 #!/bin/sh
 # Adaptive write-path smoke test: boot a race-instrumented komodo-serve
-# with adaptive batch sizing, cross-request dedup, and group-commit
-# durability, drive a Zipf-skewed load, and hold the docs/BATCHING.md
+# with adaptive batch sizing and cross-request dedup over a durable
+# state dir, drive a Zipf-skewed load, and hold the docs/BATCHING.md
 # §Adaptive write path contract end to end: every receipt verifies
 # offline, K moves up from -batch-min under pressure, identical
 # documents coalesce (dedup_total > 0), the WAL fsync rate stays far
@@ -26,7 +26,7 @@ start_server() {
     rm -f "$tmp/addr"
     "$tmp/komodo-serve" -addr 127.0.0.1:0 -addr-file "$tmp/addr" -workers 1 -seed 42 \
         -state-dir "$tmp/state" -checkpoint-every 1 \
-        -batch 16 -batch-min 2 -batch-window 25ms -batch-dedup -group-commit \
+        -batch 16 -batch-min 2 -batch-window 25ms -batch-dedup \
         >>"$tmp/serve.log" 2>&1 &
     pid_srv=$!
     i=0
@@ -40,7 +40,7 @@ start_server() {
 }
 
 start_server
-echo "writepath-smoke: server at $url (race-built, 1 worker, adaptive K=2..16, dedup, group commit)"
+echo "writepath-smoke: server at $url (race-built, 1 worker, adaptive K=2..16, dedup)"
 
 # Phase 1: one receipt end to end through the CLI verifier, and it must
 # fail closed against a foreign document.
@@ -80,8 +80,8 @@ echo "writepath-smoke: $ok signs, $receipts receipts verified ($coalesced rode a
 
 # Phase 3: the adaptive write path moved. K must have grown above
 # -batch-min under live pressure, dedup must have coalesced, and the
-# fsync rate must be far below the signed-request rate (batching plus
-# group commit: several signs per WAL sync).
+# fsync rate must be far below the signed-request rate (batching: several
+# signs per WAL sync).
 k_live=$(json_field k_current "$tmp/stats_live.json")
 dedup=$(json_field dedup_total "$tmp/stats.json")
 appends=$(json_field appends "$tmp/stats.json")
@@ -96,13 +96,13 @@ echo "writepath-smoke: K=$k_live (min 2, max 16) under load, dedup_total=$dedup,
 
 # Phase 4: the metric surface carries the new families.
 curl -sf "$url/metrics" >"$tmp/metrics.txt"
-for fam in komodo_batch_k_current komodo_batch_dedup_total komodo_store_fsyncs_total komodo_store_group_size; do
+for fam in komodo_batch_k_current komodo_batch_dedup_total komodo_store_fsyncs_total; do
     grep -q "^$fam" "$tmp/metrics.txt" || { echo "writepath-smoke: /metrics missing $fam" >&2; exit 1; }
 done
-echo "writepath-smoke: /metrics exposes k_current, dedup_total, fsyncs_total, group_size"
+echo "writepath-smoke: /metrics exposes k_current, dedup_total, fsyncs_total"
 
 # Phase 5: SIGTERM, restart on the same state dir, counters strictly
-# monotonic — group commit must not have acked anything it didn't sync.
+# monotonic — the write path must not have acked anything it didn't sync.
 kill -TERM "$pid_srv"
 wait "$pid_srv" || { echo "writepath-smoke: server exited uncleanly after SIGTERM (race detector?)" >&2; exit 1; }
 pid_srv=
@@ -121,4 +121,4 @@ echo "writepath-smoke: counters resume at $min2, strictly past $max1"
 kill -TERM "$pid_srv"
 wait "$pid_srv" || { echo "writepath-smoke: server exited uncleanly after SIGTERM" >&2; exit 1; }
 pid_srv=
-echo "writepath-smoke: OK (adaptive K, dedup, group commit, offline receipts, monotonic counters across restart)"
+echo "writepath-smoke: OK (adaptive K, dedup, offline receipts, monotonic counters across restart)"
