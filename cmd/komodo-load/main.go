@@ -1,37 +1,31 @@
 // komodo-load is a closed-loop load generator for the enclave serving
 // layer. Each client loops request → response → next request, so offered
 // load tracks service capacity and the queue exercises real backpressure.
+// It drives a running server or fleet; it never boots one itself (the
+// end-to-end serving benchmark is `bash benchmark/run.sh`).
 //
-// Against a running komodo-serve:
+// Against one komodo-serve:
 //
 //	komodo-load -url http://127.0.0.1:8787 -clients 8 -duration 5s -verify
-//
-// Self-contained provisioning comparison (boots its own pools in-process,
-// the EXPERIMENTS.md serving section):
-//
-//	komodo-load -compare -workers 4 -clients 8 -duration 5s
-//	komodo-load -sweep 1,2,4,8 -clients 8 -duration 3s
 //
 // Fleet mode: -targets takes a komodo-gateway URL (or a comma-separated
 // backend list to skip the gateway), shards notary traffic with -shards,
 // attributes latency per backend via the X-Komodo-Backend response
 // header, and cross-checks that no (backend, worker, epoch, restores)
-// counter stream ever repeats a value. -sweep-backends boots whole
-// in-process fleets (N backends behind a gateway) for the scaling curve:
+// counter stream ever repeats a value:
 //
 //	komodo-load -targets http://127.0.0.1:9090 -endpoint notary -shards 8
-//	komodo-load -sweep-backends 1,2,4 -workers 2 -endpoint notary -json
+//
+// One of -url or -targets is required; without either it exits 2.
 package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"net/http"
 	"os"
 	"sort"
@@ -40,13 +34,10 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/gateway"
 	"repro/internal/kasm"
 	"repro/internal/obs"
-	"repro/internal/pool"
 	"repro/internal/server"
 	"repro/internal/telemetry"
-	"repro/internal/tenant"
 )
 
 type options struct {
@@ -59,23 +50,9 @@ type options struct {
 	jsonOut     bool
 	traceparent string
 
-	targets       string
-	shards        int
-	sweepBackends string
-
-	workers int
-	queue   int
-	mode    string
-	seed    uint64
-	reuse   int
-	compare bool
-	sweep   string
-
-	batch       int
-	batchWindow time.Duration
-	tiers       string
-	tenants     string
-	tenantMix   string
+	targets   string
+	shards    int
+	tenantMix string
 
 	zipf         float64
 	zipfDocs     int
@@ -85,8 +62,6 @@ type options struct {
 // Result is one load run's summary (also the -json schema).
 type Result struct {
 	Label      string  `json:"label"`
-	Mode       string  `json:"mode,omitempty"`
-	Workers    int     `json:"workers,omitempty"`
 	Clients    int     `json:"clients"`
 	Seconds    float64 `json:"seconds"`
 	OK         int     `json:"ok"`
@@ -109,11 +84,9 @@ type Result struct {
 	// Any nonzero value means a counter was lost or duplicated — e.g. a
 	// failover or migration spliced two lineages together.
 	CounterDups int `json:"counter_dups"`
-	// Backends is the fleet size when driving through a gateway
-	// (-sweep-backends), and PerBackend the per-node latency view built
-	// from the X-Komodo-Backend attribution header (merged quantiles in
-	// the top-level fields come from summing these histograms).
-	Backends   int             `json:"backends,omitempty"`
+	// PerBackend is the per-node latency view built from the
+	// X-Komodo-Backend attribution header (merged quantiles in the
+	// top-level fields come from summing these histograms).
 	PerBackend []BackendResult `json:"per_backend,omitempty"`
 	// RejectClasses breaks every 429/503 down by the X-Komodo-Reject
 	// header: rate_limit/quota/shed are admission control, queue_full is
@@ -166,7 +139,7 @@ type BackendResult struct {
 
 func main() {
 	var o options
-	flag.StringVar(&o.url, "url", "", "target server base URL (empty: boot an in-process pool)")
+	flag.StringVar(&o.url, "url", "", "target server base URL (this or -targets is required)")
 	flag.IntVar(&o.clients, "clients", 8, "concurrent closed-loop clients")
 	flag.DurationVar(&o.duration, "duration", 5*time.Second, "run length (ignored if -requests > 0)")
 	flag.IntVar(&o.requests, "requests", 0, "total request budget (0 = run for -duration)")
@@ -174,20 +147,8 @@ func main() {
 	flag.BoolVar(&o.verify, "verify", false, "verify every quote client-side with kasm.VerifyQuote")
 	flag.BoolVar(&o.jsonOut, "json", false, "emit machine-readable JSON instead of text")
 	flag.StringVar(&o.traceparent, "traceparent", "", "W3C traceparent header to send on every request (exercises inbound trace propagation)")
-	flag.IntVar(&o.workers, "workers", 4, "in-process: pool size")
-	flag.IntVar(&o.queue, "queue", 64, "in-process: queue depth")
-	flag.StringVar(&o.mode, "mode", "snapshot", "in-process: snapshot | boot")
-	flag.Uint64Var(&o.seed, "seed", 42, "in-process: board seed")
-	flag.IntVar(&o.reuse, "max-reuse", 0, "in-process: per-worker reuse limit")
-	flag.BoolVar(&o.compare, "compare", false, "run snapshot-clone vs boot-per-request back to back")
-	flag.StringVar(&o.sweep, "sweep", "", "comma-separated pool sizes to sweep (snapshot mode)")
 	flag.StringVar(&o.targets, "targets", "", "fleet targets: one gateway URL, or comma-separated backend URLs")
 	flag.IntVar(&o.shards, "shards", 0, "notary shard keys to spread across (client c uses shard s<c mod N>; 0 = unsharded)")
-	flag.StringVar(&o.sweepBackends, "sweep-backends", "", "comma-separated fleet sizes: boot N in-process backends behind a gateway per entry")
-	flag.IntVar(&o.batch, "batch", 0, "in-process: batched notary signing with this batch size (0 = unbatched)")
-	flag.DurationVar(&o.batchWindow, "batch-window", 2*time.Millisecond, "in-process: partial-batch close window (with -batch)")
-	flag.StringVar(&o.tiers, "tiers", "", "in-process: tenant tiers name:rate:burst:quota[:shedat];...")
-	flag.StringVar(&o.tenants, "tenants", "", "in-process: tenant tokens token=tier,... (with -tiers)")
 	flag.StringVar(&o.tenantMix, "tenant-mix", "", "weighted X-Komodo-Tenant tokens per request: token:weight,token:weight (token '-' sends none)")
 	flag.Float64Var(&o.zipf, "zipf", 0, "notary docs drawn Zipf-skewed from a shared corpus with this exponent (> 1; 0 = unique random docs)")
 	flag.IntVar(&o.zipfDocs, "zipf-docs", 1024, "distinct documents in the Zipf corpus (with -zipf)")
@@ -200,130 +161,86 @@ func main() {
 		fail(fmt.Errorf("-zipf-docs must be >= 1, got %d", o.zipfDocs))
 	}
 
-	var results []Result
+	var bases []string
+	label := "remote"
 	switch {
-	case o.sweepBackends != "":
-		for _, f := range strings.Split(o.sweepBackends, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n <= 0 {
-				fail(fmt.Errorf("bad -sweep-backends entry %q", f))
-			}
-			r, err := runFleet(o, n)
-			if err != nil {
-				fail(err)
-			}
-			results = append(results, r)
-		}
 	case o.targets != "":
-		var bases []string
 		for _, u := range strings.Split(o.targets, ",") {
 			bases = append(bases, strings.TrimRight(strings.TrimSpace(u), "/"))
 		}
-		label := "gateway"
+		label = "gateway"
 		if len(bases) > 1 {
 			label = fmt.Sprintf("direct/%db", len(bases))
 		}
-		r, err := drive(o, bases, label)
-		if err != nil {
-			fail(err)
-		}
-		results = append(results, r)
-	case o.compare:
-		for _, mode := range []string{"boot", "snapshot"} {
-			o.mode = mode
-			r, err := runInProcess(o, fmt.Sprintf("%s/%dw", mode, o.workers))
-			if err != nil {
-				fail(err)
-			}
-			results = append(results, r)
-		}
-	case o.sweep != "":
-		for _, f := range strings.Split(o.sweep, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n <= 0 {
-				fail(fmt.Errorf("bad -sweep entry %q", f))
-			}
-			o.workers = n
-			r, err := runInProcess(o, fmt.Sprintf("%s/%dw", o.mode, n))
-			if err != nil {
-				fail(err)
-			}
-			results = append(results, r)
-		}
-	case o.url == "":
-		r, err := runInProcess(o, fmt.Sprintf("%s/%dw", o.mode, o.workers))
-		if err != nil {
-			fail(err)
-		}
-		results = append(results, r)
+	case o.url != "":
+		bases = []string{strings.TrimRight(o.url, "/")}
 	default:
-		r, err := drive(o, []string{strings.TrimRight(o.url, "/")}, "remote")
-		if err != nil {
-			fail(err)
-		}
-		results = append(results, r)
+		usage("no target: give -url (one server) or -targets (a gateway or backend list)")
 	}
-
+	r, err := drive(o, bases, label)
+	if err != nil {
+		fail(err)
+	}
 	if o.jsonOut {
+		// The -json schema is a list of runs; this run is its only entry.
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(results); err != nil {
+		if err := enc.Encode([]Result{r}); err != nil {
 			fail(err)
 		}
 		return
 	}
+	printResult(r)
+}
+
+// printResult renders one run as a text table row plus its per-backend,
+// per-tier and rejection-class breakdowns.
+func printResult(r Result) {
 	fmt.Printf("%-16s %9s %7s %7s %6s %8s %8s %8s %8s\n",
 		"run", "req/s", "ok", "429", "err", "p50 ms", "p95 ms", "p99 ms", "max ms")
-	for _, r := range results {
-		fmt.Printf("%-16s %9.1f %7d %7d %6d %8.2f %8.2f %8.2f %8.2f",
-			r.Label, r.Throughput, r.OK, r.Rejected, r.Errors+r.Unavail, r.P50ms, r.P95ms, r.P99ms, r.MaxMs)
-		if r.CounterMax > 0 {
-			fmt.Printf("  counters=%d..%d", r.CounterMin, r.CounterMax)
+	fmt.Printf("%-16s %9.1f %7d %7d %6d %8.2f %8.2f %8.2f %8.2f",
+		r.Label, r.Throughput, r.OK, r.Rejected, r.Errors+r.Unavail, r.P50ms, r.P95ms, r.P99ms, r.MaxMs)
+	if r.CounterMax > 0 {
+		fmt.Printf("  counters=%d..%d", r.CounterMin, r.CounterMax)
+	}
+	if r.CounterDups > 0 {
+		fmt.Printf("  DUPS=%d", r.CounterDups)
+	}
+	if r.CrossingsPerOK > 0 {
+		fmt.Printf("  xings/ok=%.2f", r.CrossingsPerOK)
+	}
+	if r.ReceiptsVerified > 0 {
+		fmt.Printf("  receipts=%d", r.ReceiptsVerified)
+	}
+	if r.CoalescedReceipts > 0 {
+		fmt.Printf("  coalesced=%d", r.CoalescedReceipts)
+	}
+	if r.RetryAfterSlept > 0 {
+		fmt.Printf("  retry-slept=%d(%.0fms)", r.RetryAfterSlept, r.RetryAfterSleptMs)
+	}
+	fmt.Println()
+	for _, pb := range r.PerBackend {
+		fmt.Printf("  %-14s %9s %7d %7s %6s %8.2f %8.2f %8.2f %8.2f\n",
+			"· "+pb.Backend, "", pb.OK, "", "", pb.P50ms, pb.P95ms, pb.P99ms, pb.MaxMs)
+	}
+	for _, pt := range r.PerTier {
+		fmt.Printf("  %-14s %9s %7d %7d %6s %8.2f %8.2f %8.2f\n",
+			"· tier/"+pt.Tier, "", pt.OK, pt.Rejected, "", pt.P50ms, pt.P95ms, pt.P99ms)
+	}
+	if len(r.RejectClasses) > 0 {
+		classes := make([]string, 0, len(r.RejectClasses))
+		for c := range r.RejectClasses {
+			classes = append(classes, c)
 		}
-		if r.CounterDups > 0 {
-			fmt.Printf("  DUPS=%d", r.CounterDups)
+		sort.Strings(classes)
+		fmt.Printf("  rejects:")
+		for _, c := range classes {
+			fmt.Printf(" %s=%d", c, r.RejectClasses[c])
 		}
-		if r.CrossingsPerOK > 0 {
-			fmt.Printf("  xings/ok=%.2f", r.CrossingsPerOK)
-		}
-		if r.ReceiptsVerified > 0 {
-			fmt.Printf("  receipts=%d", r.ReceiptsVerified)
-		}
-		if r.CoalescedReceipts > 0 {
-			fmt.Printf("  coalesced=%d", r.CoalescedReceipts)
-		}
-		if r.RetryAfterSlept > 0 {
-			fmt.Printf("  retry-slept=%d(%.0fms)", r.RetryAfterSlept, r.RetryAfterSleptMs)
+		if r.RetryAfterMissing > 0 {
+			fmt.Printf("  RETRY-AFTER-MISSING=%d", r.RetryAfterMissing)
 		}
 		fmt.Println()
-		for _, pb := range r.PerBackend {
-			fmt.Printf("  %-14s %9s %7d %7s %6s %8.2f %8.2f %8.2f %8.2f\n",
-				"· "+pb.Backend, "", pb.OK, "", "", pb.P50ms, pb.P95ms, pb.P99ms, pb.MaxMs)
-		}
-		for _, pt := range r.PerTier {
-			fmt.Printf("  %-14s %9s %7d %7d %6s %8.2f %8.2f %8.2f\n",
-				"· tier/"+pt.Tier, "", pt.OK, pt.Rejected, "", pt.P50ms, pt.P95ms, pt.P99ms)
-		}
-		if len(r.RejectClasses) > 0 {
-			classes := make([]string, 0, len(r.RejectClasses))
-			for c := range r.RejectClasses {
-				classes = append(classes, c)
-			}
-			sort.Strings(classes)
-			fmt.Printf("  rejects:")
-			for _, c := range classes {
-				fmt.Printf(" %s=%d", c, r.RejectClasses[c])
-			}
-			if r.RetryAfterMissing > 0 {
-				fmt.Printf("  RETRY-AFTER-MISSING=%d", r.RetryAfterMissing)
-			}
-			fmt.Println()
-		}
-	}
-	if len(results) == 2 && results[0].Mode == "boot-each" && results[1].Mode == "snapshot" &&
-		results[0].Throughput > 0 {
-		fmt.Printf("\nsnapshot-clone provisioning: %.1fx the throughput of boot-per-request\n",
-			results[1].Throughput/results[0].Throughput)
 	}
 }
 
@@ -332,144 +249,12 @@ func fail(err error) {
 	os.Exit(1)
 }
 
-// applyServing applies the in-process batching/admission flags to one
-// backend's server config (each backend gets its own registry — tier
-// buckets are per-node state).
-func applyServing(o options, cfg *server.Config) error {
-	if o.tiers != "" {
-		specs, err := tenant.ParseTiers(o.tiers)
-		if err != nil {
-			return fmt.Errorf("-tiers: %w", err)
-		}
-		tokens, err := tenant.ParseTenants(o.tenants)
-		if err != nil {
-			return fmt.Errorf("-tenants: %w", err)
-		}
-		reg, err := tenant.NewRegistry(specs, tokens, "")
-		if err != nil {
-			return err
-		}
-		cfg.Admission = reg
-	}
-	cfg.BatchMaxSize = o.batch
-	cfg.BatchWindow = o.batchWindow
-	return nil
-}
-
-// runInProcess boots a pool + server on a loopback listener and drives it.
-func runInProcess(o options, label string) (Result, error) {
-	pcfg := pool.Config{Size: o.workers, Boot: server.Blueprint(o.seed), MaxReuse: o.reuse}
-	switch o.mode {
-	case "snapshot":
-		pcfg.Mode = pool.ModeSnapshot
-	case "boot":
-		pcfg.Mode = pool.ModeBootEach
-	default:
-		return Result{}, fmt.Errorf("unknown -mode %q", o.mode)
-	}
-	p, err := pool.New(pcfg)
-	if err != nil {
-		return Result{}, err
-	}
-	scfg := server.Config{Pool: p, QueueDepth: o.queue, RequestTimeout: 30 * time.Second}
-	if err := applyServing(o, &scfg); err != nil {
-		return Result{}, err
-	}
-	srv := server.New(scfg)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return Result{}, err
-	}
-	hs := &http.Server{Handler: srv}
-	go hs.Serve(ln)
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		srv.Drain()
-		srv.Close()
-		hs.Shutdown(ctx)
-		p.Close(ctx)
-	}()
-
-	r, err := drive(o, []string{"http://" + ln.Addr().String()}, label)
-	if err != nil {
-		return r, err
-	}
-	r.Mode = pcfg.Mode.String()
-	r.Workers = o.workers
-	return r, nil
-}
-
-// runFleet boots n full backend stacks (pool + server, each on its own
-// loopback listener) behind an in-process gateway, and drives the load
-// through the gateway — the -sweep-backends scaling measurement. Each
-// fleet entry is labelled fleet/<n>b and carries the per-backend view.
-func runFleet(o options, n int) (Result, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancel()
-
-	var specs []gateway.BackendSpec
-	var cleanup []func()
-	defer func() {
-		for i := len(cleanup) - 1; i >= 0; i-- {
-			cleanup[i]()
-		}
-	}()
-	for i := 0; i < n; i++ {
-		pcfg := pool.Config{Size: o.workers, Boot: server.Blueprint(o.seed), MaxReuse: o.reuse, Mode: pool.ModeSnapshot}
-		p, err := pool.New(pcfg)
-		if err != nil {
-			return Result{}, fmt.Errorf("backend %d pool: %w", i, err)
-		}
-		scfg := server.Config{Pool: p, QueueDepth: o.queue, RequestTimeout: 30 * time.Second}
-		if err := applyServing(o, &scfg); err != nil {
-			return Result{}, err
-		}
-		srv := server.New(scfg)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return Result{}, err
-		}
-		hs := &http.Server{Handler: srv}
-		go hs.Serve(ln)
-		cleanup = append(cleanup, func() {
-			srv.Drain()
-			srv.Close()
-			hs.Shutdown(ctx)
-			p.Close(ctx)
-		})
-		specs = append(specs, gateway.BackendSpec{Name: fmt.Sprintf("b%d", i), URL: "http://" + ln.Addr().String()})
-	}
-
-	g, err := gateway.New(gateway.Config{Backends: specs, ProbeInterval: 200 * time.Millisecond})
-	if err != nil {
-		return Result{}, err
-	}
-	gln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return Result{}, err
-	}
-	ghs := &http.Server{Handler: g}
-	go ghs.Serve(gln)
-	cleanup = append(cleanup, func() {
-		ghs.Shutdown(ctx)
-		g.Close()
-	})
-
-	fo := o
-	if fo.shards == 0 {
-		// Spread shards well past the fleet size so every backend owns
-		// several arcs of real traffic.
-		fo.shards = 4 * n
-	}
-	r, err := drive(fo, []string{"http://" + gln.Addr().String()}, fmt.Sprintf("fleet/%db", n))
-	if err != nil {
-		return r, err
-	}
-	r.Mode = "snapshot"
-	r.Workers = o.workers
-	r.Backends = n
-	return r, nil
+// usage reports a command-line mistake the way the flag package does:
+// the message, the flag list, exit status 2.
+func usage(msg string) {
+	fmt.Fprintln(os.Stderr, "komodo-load:", msg)
+	flag.Usage()
+	os.Exit(2)
 }
 
 // streamBook detects lost or duplicated notary counters across the whole

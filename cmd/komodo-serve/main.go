@@ -47,11 +47,9 @@ func main() {
 	timeout := flag.Duration("timeout", 5*time.Second, "per-request worker-wait deadline")
 	reuse := flag.Int("max-reuse", 0, "retire a worker after this many requests (0 = never)")
 	seed := flag.Uint64("seed", 42, "board RNG seed (all workers share it: identical quote keys)")
-	mode := flag.String("mode", "snapshot", "worker re-provisioning: snapshot | boot")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "graceful shutdown budget")
 	healthcheck := flag.Bool("healthcheck", false, "run a full attest probe after every restore")
 	stateDir := flag.String("state-dir", "", "durable notary state directory (empty: counters are volatile)")
-	ckptEvery := flag.Int("checkpoint-every", 1, "checkpoint the notary after every Nth sign (with -state-dir)")
 	pprofAddr := flag.String("pprof-addr", "", "listen address for net/http/pprof (empty: disabled)")
 	flightSize := flag.Int("flight-traces", 0, "slow-request traces retained for /v1/debug/traces (0 = default)")
 	batchSize := flag.Int("batch", 0, "batched notary signing: close a batch at this many signs (0 = unbatched)")
@@ -69,6 +67,10 @@ func main() {
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "komodo-serve:", err)
 		os.Exit(1)
+	}
+	if err := checkBatchFlags(*batchSize, *batchMin, *batchQueue, *batchDedup); err != nil {
+		fmt.Fprintln(os.Stderr, "komodo-serve:", err)
+		os.Exit(2)
 	}
 
 	var ckpts *server.CheckpointStore
@@ -108,14 +110,6 @@ func main() {
 		MaxReuse:  *reuse,
 		Provision: provision,
 	}
-	switch *mode {
-	case "snapshot":
-		pcfg.Mode = pool.ModeSnapshot
-	case "boot":
-		pcfg.Mode = pool.ModeBootEach
-	default:
-		fail(fmt.Errorf("unknown -mode %q (want snapshot or boot)", *mode))
-	}
 	if *healthcheck {
 		pcfg.HealthCheck = server.HealthCheck
 	}
@@ -125,7 +119,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("booted %d worker(s) in %v (%s mode)\n", *workers, time.Since(bootStart).Round(time.Millisecond), pcfg.Mode)
+	fmt.Printf("booted %d worker(s) in %v\n", *workers, time.Since(bootStart).Round(time.Millisecond))
 
 	var admission *tenant.Registry
 	if *tiers != "" {
@@ -143,13 +137,11 @@ func main() {
 		}
 		fmt.Printf("admission: %d tier(s), %d token(s), default %q\n", len(specs), len(tokens), admission.DefaultTier())
 	}
-	if *batchSize > 0 {
-		switch {
-		case *batchMin > 0:
-			fmt.Printf("batched signing: adaptive K in [%d,%d] window=%v dedup=%v\n", *batchMin, *batchSize, *batchWindow, *batchDedup)
-		default:
-			fmt.Printf("batched signing: K=%d window=%v dedup=%v\n", *batchSize, *batchWindow, *batchDedup)
-		}
+	switch {
+	case *batchMin > 0:
+		fmt.Printf("batched signing: adaptive K in [%d,%d] window=%v dedup=%v\n", *batchMin, *batchSize, *batchWindow, *batchDedup)
+	case *batchSize > 0:
+		fmt.Printf("batched signing: K=%d window=%v dedup=%v\n", *batchSize, *batchWindow, *batchDedup)
 	}
 
 	srv := server.New(server.Config{
@@ -157,7 +149,6 @@ func main() {
 		QueueDepth:         *queue,
 		RequestTimeout:     *timeout,
 		Checkpoints:        ckpts,
-		CheckpointEvery:    *ckptEvery,
 		FlightRecorderSize: *flightSize,
 		Admission:          admission,
 		BatchMaxSize:       *batchSize,
@@ -262,4 +253,22 @@ func main() {
 	}
 	ps := p.Stats()
 	fmt.Printf("drained cleanly: %d requests served, %d boots, %d restores\n", ps.Gets, ps.Boots, ps.Restores)
+}
+
+// checkBatchFlags rejects batch flag combinations the server would
+// otherwise run differently from what they say: tuning flags without
+// -batch (batching stays off), and a -batch-min floor that is not below
+// the -batch ceiling (adaptive sizing stays off and K is fixed).
+func checkBatchFlags(size, minK, queue int, dedup bool) error {
+	switch {
+	case size < 0:
+		return fmt.Errorf("-batch must be >= 0, got %d", size)
+	case size == 0 && (minK != 0 || queue != 0 || dedup):
+		return fmt.Errorf("-batch-min, -batch-queue and -batch-dedup need -batch > 0")
+	case minK != 0 && (minK < 1 || minK >= size):
+		return fmt.Errorf("-batch-min %d must be below -batch %d (or 0 for a fixed K)", minK, size)
+	case queue < 0:
+		return fmt.Errorf("-batch-queue must be >= 0, got %d", queue)
+	}
+	return nil
 }

@@ -143,21 +143,6 @@ func TestMaxReuseTriggersReboot(t *testing.T) {
 	}
 }
 
-func TestBootEachMode(t *testing.T) {
-	p := mustPool(t, Config{Size: 1, Mode: ModeBootEach})
-	for i := 0; i < 2; i++ {
-		w := get(t, p)
-		if c := notarise(t, w); c != 1 {
-			t.Fatalf("counter = %d, want 1", c)
-		}
-		p.Put(w, OK)
-	}
-	s := p.Stats()
-	if s.Boots != 3 || s.Restores != 0 {
-		t.Fatalf("stats: %+v", s)
-	}
-}
-
 func TestHealthCheckRetires(t *testing.T) {
 	calls := 0
 	p := mustPool(t, Config{

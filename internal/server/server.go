@@ -46,11 +46,6 @@ type Config struct {
 	// with RestoreProvision on the pool so saved counters resume at
 	// boot.
 	Checkpoints *CheckpointStore
-	// CheckpointEvery checkpoints after every Nth sign per worker
-	// (default 1: every sign). Values > 1 trade durability for
-	// throughput — a crash can replay up to N-1 counter values, which
-	// breaks strict monotonicity across restarts.
-	CheckpointEvery int
 	// FlightRecorderSize caps how many slow-request traces the flight
 	// recorder retains for /v1/debug/traces (default
 	// obs.DefaultFlightRecorderSize).
@@ -135,9 +130,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxNonceBytes <= 0 {
 		cfg.MaxNonceBytes = 256
-	}
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 1
 	}
 	s := &Server{
 		cfg:     cfg,
@@ -570,16 +562,14 @@ func (s *Server) handleNotarySign(w http.ResponseWriter, r *http.Request) {
 }
 
 // maybeCheckpoint seals the worker's notary into the checkpoint store,
-// according to the CheckpointEvery policy, and rebases the worker onto
-// the committed state. The rebase makes the durable counter the restore
-// point for stateless releases too: in durable mode a counter, once
-// issued, is never re-issued — not after a pool restore and not after a
-// process restart.
+// when one is configured, and rebases the worker onto the committed
+// state. It runs after every sign (or batch root sign): batching, not a
+// sparser checkpoint cadence, is what amortises the fsync. The rebase
+// makes the durable counter the restore point for stateless releases
+// too: in durable mode a counter, once issued, is never re-issued — not
+// after a pool restore and not after a process restart.
 func (s *Server) maybeCheckpoint(wk *pool.Worker, st *WorkerState, counter uint32) error {
 	if s.cfg.Checkpoints == nil {
-		return nil
-	}
-	if counter%uint32(s.cfg.CheckpointEvery) != 0 {
 		return nil
 	}
 	ckpt, err := wk.System().CheckpointEnclave(st.Notary)

@@ -58,21 +58,31 @@ func (r *Ring) Append(e Event) {
 }
 
 // Snapshot returns the retained events, oldest first.
-func (r *Ring) Snapshot() []Event {
+func (r *Ring) Snapshot() []Event { return r.Since(0) }
+
+// Since returns the retained events at ring positions at or above mark,
+// oldest first: positions max(mark, Total()-Capacity()) through
+// Total()-1. Only that suffix is copied, under the ring lock, so a caller
+// harvesting one request's events pays for those events, not for the
+// whole ring. It returns nil (and allocates nothing) when no retained
+// event is that new.
+func (r *Ring) Since(mark uint64) []Event {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := r.total
 	cap64 := uint64(len(r.buf))
-	if n > cap64 {
-		n = cap64
+	start := mark
+	if r.total > cap64 && start < r.total-cap64 {
+		start = r.total - cap64
 	}
-	out := make([]Event, 0, n)
-	start := r.total - n
-	for i := uint64(0); i < n; i++ {
-		out = append(out, r.buf[(start+i)%cap64])
+	if start >= r.total {
+		return nil
+	}
+	out := make([]Event, 0, r.total-start)
+	for i := start; i < r.total; i++ {
+		out = append(out, r.buf[i%cap64])
 	}
 	return out
 }

@@ -249,21 +249,16 @@ func (r *Recorder) SpanTag() uint64 {
 }
 
 // EventsSince returns the ring's retained events with sequence numbers at
-// or above mark (use Ring().Total() before a request as the mark). Events
-// older than the ring capacity are gone; what remains is still a
-// contiguous suffix, so per-request harvesting never sees gaps in the
-// middle.
+// or above mark (use Ring().Total() before a request as the mark; the
+// recorder numbers events by ring position). Events older than the ring
+// capacity are gone; what remains is still a contiguous suffix, so
+// per-request harvesting never sees gaps in the middle. Only that suffix
+// is copied (Ring.Since).
 func (r *Recorder) EventsSince(mark uint64) []Event {
 	if r == nil {
 		return nil
 	}
-	all := r.ring.Snapshot()
-	for i, e := range all {
-		if e.Seq >= mark {
-			return all[i:]
-		}
-	}
-	return nil
+	return r.ring.Since(mark)
 }
 
 // emit assigns a sequence number, appends to the ring, and forwards to the

@@ -291,6 +291,50 @@ func TestSpanTagStampsEvents(t *testing.T) {
 	}
 }
 
+// TestEventsSinceCopiesSuffix pins Recorder.EventsSince (Ring.Since):
+// it returns exactly the retained events at or after the mark, clamps a
+// mark older than the oldest retained event, returns nothing for a mark
+// at Total(), and copies only the suffix (one allocation at most).
+func TestEventsSinceCopiesSuffix(t *testing.T) {
+	cases := []struct {
+		name     string
+		appended int    // events recorded into a 4-slot ring
+		mark     uint64 // EventsSince argument
+		want     []uint64
+	}{
+		{"empty ring", 0, 0, nil},
+		{"suffix before wrap", 3, 1, []uint64{1, 2}},
+		{"whole ring before wrap", 3, 0, []uint64{0, 1, 2}},
+		{"mark at total", 3, 3, nil},
+		{"mark past total", 3, 9, nil},
+		{"wrapped, mark older than oldest", 10, 2, []uint64{6, 7, 8, 9}},
+		{"wrapped, mark at oldest", 10, 6, []uint64{6, 7, 8, 9}},
+		{"wrapped, suffix", 10, 8, []uint64{8, 9}},
+		{"wrapped, mark at total", 10, 10, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := &Recorder{sink: NopSink{}, ring: NewRing(4)}
+			for i := 0; i < tc.appended; i++ {
+				r.ObserveSVC(kapi.SVCGetRandom, 0, uint64(i))
+			}
+			got := r.EventsSince(tc.mark)
+			if len(got) != len(tc.want) {
+				t.Fatalf("EventsSince(%d) = %d events %+v, want seqs %v", tc.mark, len(got), got, tc.want)
+			}
+			for i, e := range got {
+				if e.Seq != tc.want[i] || e.Cycles != tc.want[i] {
+					t.Fatalf("event %d: seq %d cycles %d, want %d", i, e.Seq, e.Cycles, tc.want[i])
+				}
+			}
+			allocs := testing.AllocsPerRun(100, func() { r.EventsSince(tc.mark) })
+			if allocs > 1 {
+				t.Fatalf("EventsSince(%d) allocates %.0f times, want at most 1", tc.mark, allocs)
+			}
+		})
+	}
+}
+
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := New()
 	r.ObserveSMC(kapi.SMCEnter, [4]uint32{}, 0, 0, 738, 160)

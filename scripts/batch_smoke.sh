@@ -21,6 +21,22 @@ json_field() {
     grep -o "\"$1\": *[0-9]*" "$2" | grep -o '[0-9]*$' | head -n 1
 }
 
+# Batch flags that would run differently from what they say fail closed
+# at startup with a usage error (exit 2): a -batch-min floor not below the
+# -batch ceiling, and batch tuning flags without -batch. The timeout turns
+# a server that wrongly started serving into a failure (status 124).
+for bad in '-batch 8 -batch-min 16' '-batch-dedup'; do
+    status=0
+    # shellcheck disable=SC2086 # $bad is a flag list
+    timeout 60 "$tmp/komodo-serve" -addr 127.0.0.1:0 $bad >"$tmp/bad.log" 2>&1 || status=$?
+    if [ "$status" -ne 2 ]; then
+        echo "batch-smoke: komodo-serve $bad exited $status, want usage error 2" >&2
+        cat "$tmp/bad.log" >&2
+        exit 1
+    fi
+done
+echo "batch-smoke: inconsistent batch flags rejected at startup"
+
 # Tiers: gold unlimited; free rate-limited hard enough that the mix
 # produces 429 rate_limit; trial sheds as soon as the batch queue carries
 # any real backlog (shed_at 0.1 of the aggregator queue).

@@ -13,6 +13,16 @@ trap 'rm -rf "$tmp"; [ -n "${pid:-}" ] && kill "$pid" 2>/dev/null || true' EXIT
 go build -o "$tmp/komodo-serve" ./cmd/komodo-serve
 go build -o "$tmp/komodo-load" ./cmd/komodo-load
 
+# komodo-load only drives a running server: with no -url or -targets it
+# is a usage error (exit 2), never a self-booted in-process stack.
+status=0
+"$tmp/komodo-load" -requests 1 >"$tmp/notarget.log" 2>&1 || status=$?
+if [ "$status" -ne 2 ] || ! grep -q -- '-targets' "$tmp/notarget.log"; then
+    echo "serve-smoke: komodo-load without a target exited $status, want usage error 2" >&2
+    cat "$tmp/notarget.log" >&2
+    exit 1
+fi
+
 "$tmp/komodo-serve" -addr 127.0.0.1:0 -workers 2 -addr-file "$tmp/addr" &
 pid=$!
 
