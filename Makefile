@@ -33,16 +33,14 @@ bench-quick:
 bench-json:
 	$(GO) run ./cmd/komodo-bench -json
 
-# CI guard: every benchmark compiles and runs once, and the hot-path perf
-# section (block cache + delta restore) completes end-to-end. Not a
-# measurement — shared runners are too noisy — just an execution check.
+# CI guard: every benchmark compiles and runs once. Not a measurement —
+# shared runners are too noisy — just an execution check.
 # The block A/B benchmark and the block differential harness also run under
 # the race detector: the superblock cache must stay bit-identical there too.
 bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime 1x .
 	$(GO) test -race -run XXX -bench BenchmarkInterpreter -benchtime 1x .
 	$(GO) test -race -run 'TestBlockDifferential|FuzzBlockCache' ./internal/arm/
-	$(GO) run ./cmd/komodo-bench -perf -perf-requests 16
 
 # End-to-end serving benchmark (benchmark/, declared in BENCHMARK.json):
 # builds the harness from source and runs both workloads once, printing

@@ -246,27 +246,6 @@ func BenchmarkInterpreter(b *testing.B) {
 	b.Run("no-block-cache", func(b *testing.B) { run(b, true) })
 }
 
-// BenchmarkPerf regenerates the hot-path performance report (the "perf"
-// section of BENCH_*.json): interpreter throughput across the cache
-// configurations, delta-restore traffic, and serve-loop latency.
-func BenchmarkPerf(b *testing.B) {
-	var r *eval.PerfReport
-	var err error
-	for i := 0; i < b.N; i++ {
-		r, err = eval.Perf(64)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(r.InstrPerSec/1e6, "Minstr/s")
-	b.ReportMetric(r.BlockCacheSpeedup, "block-speedup")
-	b.ReportMetric(r.MeanBlockLen, "block-len")
-	b.ReportMetric(float64(r.RestoreWordsPerRequest), "restore-words/req")
-	b.ReportMetric(r.RestoreReduction, "restore-reduction")
-	b.ReportMetric(r.ServeP50Micros, "serve-p50-us")
-	b.ReportMetric(r.ServeP95Micros, "serve-p95-us")
-}
-
 // BenchmarkRestore measures the golden-snapshot restore itself after one
 // notary request's worth of dirtying: the delta path against a forced
 // full copy of the same machine.

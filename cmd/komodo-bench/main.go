@@ -22,7 +22,6 @@ type output struct {
 	Figure5     []eval.Fig5Point   `json:"figure5,omitempty"`
 	Table2      []eval.LocRow      `json:"table2,omitempty"`
 	PaperTable2 []eval.PaperRow    `json:"paper_table2,omitempty"`
-	Perf        *eval.PerfReport   `json:"perf,omitempty"`
 }
 
 func main() {
@@ -31,12 +30,10 @@ func main() {
 	f5 := flag.Bool("figure5", false, "print only the Figure 5 notary series")
 	t2 := flag.Bool("table2", false, "print only the Table 2 line-count breakdown")
 	abl := flag.Bool("ablation", false, "print only the crossing-optimisation ablation")
-	perf := flag.Bool("perf", false, "print only the host hot-path performance section (docs/PERFORMANCE.md)")
-	perfReqs := flag.Int("perf-requests", 200, "notary requests the -perf section serves")
 	asJSON := flag.Bool("json", false, "emit the selected sections as JSON")
 	root := flag.String("root", ".", "module root for the line-count breakdown")
 	flag.Parse()
-	all := !*t3 && !*sgxOnly && !*f5 && !*t2 && !*abl && !*perf
+	all := !*t3 && !*sgxOnly && !*f5 && !*t2 && !*abl
 
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "komodo-bench:", err)
@@ -80,13 +77,6 @@ func main() {
 		out.Table2 = rows
 		out.PaperTable2 = eval.PaperTable2Rows()
 	}
-	if all || *perf {
-		r, err := eval.Perf(*perfReqs)
-		if err != nil {
-			fail(err)
-		}
-		out.Perf = r
-	}
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -126,19 +116,6 @@ func main() {
 		for _, p := range out.Figure5 {
 			fmt.Printf("  %6dkB %14.3f %14.3f %8.3f\n", p.KB, p.EnclaveMS, p.NativeMS, p.EnclaveMS/p.NativeMS)
 		}
-		fmt.Println()
-	}
-	if out.Perf != nil {
-		p := out.Perf
-		fmt.Println("Hot-path performance (host wall-clock; see docs/PERFORMANCE.md)")
-		fmt.Printf("  interpreter: %.2fM instr/s block-cached, %.2fM uncached\n",
-			p.InstrPerSec/1e6, p.InstrPerSecUncached/1e6)
-		fmt.Printf("  block cache: %.2fx over uncached (hit rate %.1f%%, mean block %.1f insns)\n",
-			p.BlockCacheSpeedup, p.BlockCacheHitRate*100, p.MeanBlockLen)
-		fmt.Printf("  restore:     %d words/request delta vs %d full copy (%.0fx fewer)\n",
-			p.RestoreWordsPerRequest, p.RestoreWordsFullCopy, p.RestoreReduction)
-		fmt.Printf("  serve:       p50 %.0f µs, p95 %.0f µs over %d notary requests (%d-word docs)\n",
-			p.ServeP50Micros, p.ServeP95Micros, p.Requests, p.DocWords)
 		fmt.Println()
 	}
 	if out.Table2 != nil {

@@ -137,11 +137,12 @@ func main() {
 		}
 		fmt.Printf("admission: %d tier(s), %d token(s), default %q\n", len(specs), len(tokens), admission.DefaultTier())
 	}
-	switch {
-	case *batchMin > 0:
-		fmt.Printf("batched signing: adaptive K in [%d,%d] window=%v dedup=%v\n", *batchMin, *batchSize, *batchWindow, *batchDedup)
-	case *batchSize > 0:
-		fmt.Printf("batched signing: K=%d window=%v dedup=%v\n", *batchSize, *batchWindow, *batchDedup)
+	if *batchSize > 0 {
+		kMin := *batchMin
+		if kMin == 0 {
+			kMin = *batchSize
+		}
+		fmt.Printf("batched signing: K in [%d,%d] window=%v dedup=%v\n", kMin, *batchSize, *batchWindow, *batchDedup)
 	}
 
 	srv := server.New(server.Config{

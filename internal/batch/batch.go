@@ -68,12 +68,12 @@ type SignFunc func(ctx context.Context, root [8]uint32) (SignedRoot, error)
 type Config struct {
 	// MaxBatch is K: a batch seals as soon as it holds K leaves.
 	MaxBatch int
-	// MinBatch, when in (0, MaxBatch), turns on adaptive sizing: the
-	// close threshold starts at MinBatch and is retuned between MinBatch
-	// and MaxBatch after every sealed batch from EWMAs of the observed
-	// fill times and per-batch arrival counts, so light load seals small
-	// batches fast (latency) and heavy load grows K toward the
-	// crossing-cost optimum (throughput). 0 keeps K fixed at MaxBatch.
+	// MinBatch is the floor of the close threshold: K starts at MinBatch
+	// and is retuned between MinBatch and MaxBatch after every sealed
+	// batch from EWMAs of the observed fill times and per-batch arrival
+	// counts, so light load seals small batches fast (latency) and heavy
+	// load grows K toward the crossing-cost optimum (throughput). 0 (or a
+	// value above MaxBatch) means MaxBatch, which pins K there.
 	MinBatch int
 	// Dedup coalesces requests with identical (DocDigest, Tenant) inside
 	// one open batch onto a single Merkle leaf: every coalesced caller
@@ -132,8 +132,7 @@ type leafKey struct {
 // Merkle tree, obtains one enclave signature per batch, and distributes
 // per-request receipts. Safe for concurrent use.
 type Aggregator struct {
-	cfg      Config
-	adaptive bool
+	cfg Config
 
 	mu        sync.Mutex
 	pending   []*leafGroup    // current open batch, one entry per leaf
@@ -183,8 +182,8 @@ type Stats struct {
 	Pending        int     `json:"pending"`
 	FillP50us      float64 `json:"fill_p50_us"`
 	FillP95us      float64 `json:"fill_p95_us"`
-	// KCurrent is the live close threshold (equals MaxBatch when sizing
-	// is fixed); KMin/KMax are the adaptive bounds (0 when fixed). Dedup
+	// KCurrent is the live close threshold; KMin/KMax are the bounds the
+	// controller keeps it in (equal when K is fixed). Dedup
 	// counts sign requests coalesced onto an already-pending identical
 	// leaf instead of widening the tree.
 	KCurrent int    `json:"k_current"`
@@ -233,13 +232,17 @@ func (s *Stats) Merge(o Stats) {
 }
 
 // New builds an Aggregator. cfg.Sign is required; MaxBatch defaults to 16,
-// Window to 2ms, MaxQueue to 4*MaxBatch, SignTimeout to 5s.
+// MinBatch to MaxBatch, Window to 2ms, MaxQueue to 4*MaxBatch,
+// SignTimeout to 5s.
 func New(cfg Config) *Aggregator {
 	if cfg.Sign == nil {
 		panic("batch: Config.Sign is required")
 	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 16
+	}
+	if cfg.MinBatch <= 0 || cfg.MinBatch > cfg.MaxBatch {
+		cfg.MinBatch = cfg.MaxBatch
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = 2 * time.Millisecond
@@ -250,14 +253,8 @@ func New(cfg Config) *Aggregator {
 	if cfg.SignTimeout <= 0 {
 		cfg.SignTimeout = 5 * time.Second
 	}
-	a := &Aggregator{cfg: cfg, fill: obs.NewHistogram()}
-	a.adaptive = cfg.MinBatch > 0 && cfg.MinBatch < cfg.MaxBatch
-	if a.adaptive {
-		a.k = cfg.MinBatch // start small; load grows it
-	} else {
-		a.k = cfg.MaxBatch
-	}
-	return a
+	// K starts at the floor; load grows it.
+	return &Aggregator{cfg: cfg, fill: obs.NewHistogram(), k: cfg.MinBatch}
 }
 
 // Submit queues one request and blocks until its receipt is ready, the
@@ -460,9 +457,6 @@ func (a *Aggregator) seal(batch []*leafGroup, opened time.Time, reason string) {
 //   - Anything else (a full close that drained the queue, a drain close)
 //     holds K.
 func (a *Aggregator) retuneLocked(arrivals int, fillDur time.Duration, reason string, backlog bool) {
-	if !a.adaptive {
-		return
-	}
 	sec := fillDur.Seconds()
 	if sec < 50e-6 {
 		sec = 50e-6 // floor: a burst that fills instantly is not an infinite rate
@@ -538,21 +532,14 @@ func (a *Aggregator) Pending() int {
 // denominator for queue-pressure load shedding.
 func (a *Aggregator) MaxQueue() int { return a.cfg.MaxQueue }
 
-// Pressure reports the batcher's queue fullness for load shedding. With
-// fixed sizing this is exactly (Pending, MaxQueue); with adaptive sizing
-// the denominator tracks the live threshold (4×K, capped at MaxQueue),
-// so admission control sheds relative to what the batcher is currently
+// Pressure reports the batcher's queue fullness for load shedding: the
+// denominator tracks the live threshold (4×K, capped at MaxQueue), so
+// admission control sheds relative to what the batcher is currently
 // willing to buffer, not the static worst case.
 func (a *Aggregator) Pressure() (int, int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	capacity := a.cfg.MaxQueue
-	if a.adaptive {
-		if c := 4 * a.k; c < capacity {
-			capacity = c
-		}
-	}
-	return a.queued, capacity
+	return a.queued, min(a.cfg.MaxQueue, 4*a.k)
 }
 
 // Stats snapshots the aggregator's counters.
@@ -576,10 +563,9 @@ func (a *Aggregator) Stats() Stats {
 		LastSize:      st.lastSize,
 		Pending:       pending,
 		KCurrent:      k,
+		KMin:          a.cfg.MinBatch,
+		KMax:          a.cfg.MaxBatch,
 		Dedup:         st.dedup,
-	}
-	if a.adaptive {
-		out.KMin, out.KMax = a.cfg.MinBatch, a.cfg.MaxBatch
 	}
 	if signedBatches := batches - st.signFailures; st.signed > signedBatches {
 		out.CrossingsSaved = st.signed - signedBatches

@@ -344,7 +344,8 @@ func TestAdaptiveKMoves(t *testing.T) {
 // TestFixedModeUnchanged pins the off-switch differential at the
 // aggregator level: with MinBatch 0 and Dedup off, receipts carry the
 // caller's own nonce, no coalescing, a constant K, and exactly the leaf
-// set a pre-adaptive aggregator would build.
+// set a pre-adaptive aggregator would build. K stays at MaxBatch even
+// under the backlog that grows an adaptive K.
 func TestFixedModeUnchanged(t *testing.T) {
 	const K = 4
 	fs := &fakeSigner{}
@@ -387,8 +388,38 @@ func TestFixedModeUnchanged(t *testing.T) {
 		seen[r.LeafIndex] = true
 	}
 	st := a.Stats()
-	if st.Dedup != 0 || st.KCurrent != K || st.KMin != 0 || st.KMax != 0 {
+	if st.Dedup != 0 || st.KCurrent != K || st.KMin != K || st.KMax != K {
 		t.Fatalf("stats: %+v", st)
+	}
+
+	// Backlog: hold the first seal until a second full batch is queued
+	// behind it, so it closes on count with work waiting.
+	gate := make(chan struct{})
+	gated := New(Config{MaxBatch: K, Window: time.Hour, Sign: func(ctx context.Context, root [8]uint32) (SignedRoot, error) {
+		<-gate
+		return fs.sign(ctx, root)
+	}})
+	defer gated.Close()
+	for i := 0; i < 2*K; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := gated.Submit(context.Background(), req(10+i, "t")); err != nil {
+				t.Errorf("backlog submit %d: %v", i, err)
+			}
+		}(i)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for gated.Pending() < 2*K {
+		if time.Now().After(deadline) {
+			t.Fatal("backlog never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	wg.Wait()
+	if st := gated.Stats(); st.KCurrent != K || st.BatchesFull != 2 {
+		t.Fatalf("after backlog: %+v, want K=%d over 2 full batches", st, K)
 	}
 }
 

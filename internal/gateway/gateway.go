@@ -88,8 +88,7 @@ type Gateway struct {
 	badGateway  atomic.Uint64 // gateway-originated 502: backend died mid-request
 	probesTotal atomic.Uint64 // health probes completed, summed over all backends
 
-	lat    *obs.LatencyVec     // gateway-edge latency per (endpoint, outcome)
-	flight *obs.FlightRecorder // slowest gateway traces
+	edge *obs.Edge // tracing, latency per (endpoint, outcome), slowest gateway traces
 }
 
 // New builds the gateway. It does not block on backend availability:
@@ -124,8 +123,7 @@ func New(cfg Config) (*Gateway, error) {
 		stop:      make(chan struct{}),
 		forward:   map[int]int{},
 		migrating: map[int]bool{},
-		lat:       obs.NewLatencyVec(),
-		flight:    obs.NewFlightRecorder(cfg.FlightRecorderSize),
+		edge:      obs.NewEdge("komodo_gateway_request_duration_seconds", cfg.FlightRecorderSize),
 		client: &http.Client{Transport: &http.Transport{
 			MaxIdleConnsPerHost: cfg.MaxInFlight,
 			IdleConnTimeout:     90 * time.Second,
@@ -136,17 +134,17 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g.ring = NewRing(len(g.backends), cfg.VNodes)
 
-	g.mux.HandleFunc("/v1/notary/sign", g.traced("/v1/notary/sign", g.handleNotarySign))
-	g.mux.HandleFunc("/v1/attest", g.traced("/v1/attest", g.handleStateless))
-	g.mux.HandleFunc("/v1/quotekey", g.traced("/v1/quotekey", g.handleStateless))
-	g.mux.HandleFunc("/v1/checkpoint", g.traced("/v1/checkpoint", g.handleAdminProxy))
-	g.mux.HandleFunc("/v1/restore", g.traced("/v1/restore", g.handleAdminProxy))
-	g.mux.HandleFunc("/v1/healthz", g.traced("/v1/healthz", g.handleHealthz))
-	g.mux.HandleFunc("/v1/stats", g.traced("/v1/stats", g.handleStats))
-	g.mux.HandleFunc("/v1/admin/migrate", g.traced("/v1/admin/migrate", g.handleMigrate))
-	g.mux.HandleFunc("/v1/admin/reinstate", g.traced("/v1/admin/reinstate", g.handleReinstate))
-	g.mux.HandleFunc("/v1/admin/backends", g.traced("/v1/admin/backends", g.handleBackends))
-	g.mux.HandleFunc("/v1/debug/traces", g.handleDebugTraces)
+	g.mux.HandleFunc("/v1/notary/sign", g.edge.Traced("/v1/notary/sign", g.admitted(g.handleNotarySign)))
+	g.mux.HandleFunc("/v1/attest", g.edge.Traced("/v1/attest", g.admitted(g.handleStateless)))
+	g.mux.HandleFunc("/v1/quotekey", g.edge.Traced("/v1/quotekey", g.admitted(g.handleStateless)))
+	g.mux.HandleFunc("/v1/checkpoint", g.edge.Traced("/v1/checkpoint", g.admitted(g.handleAdminProxy)))
+	g.mux.HandleFunc("/v1/restore", g.edge.Traced("/v1/restore", g.admitted(g.handleAdminProxy)))
+	g.mux.HandleFunc("/v1/healthz", g.edge.Traced("/v1/healthz", g.handleHealthz))
+	g.mux.HandleFunc("/v1/stats", g.edge.Traced("/v1/stats", g.handleStats))
+	g.mux.HandleFunc("/v1/admin/migrate", g.edge.Traced("/v1/admin/migrate", g.handleMigrate))
+	g.mux.HandleFunc("/v1/admin/reinstate", g.edge.Traced("/v1/admin/reinstate", g.handleReinstate))
+	g.mux.HandleFunc("/v1/admin/backends", g.edge.Traced("/v1/admin/backends", g.handleBackends))
+	g.mux.HandleFunc("/v1/debug/traces", g.edge.HandleDebugTraces)
 	g.mux.HandleFunc("/metrics", g.handleMetrics)
 
 	if !cfg.DisableProbes {
@@ -167,7 +165,7 @@ func (g *Gateway) Close() { g.stopOnce.Do(func() { close(g.stop) }) }
 func (g *Gateway) Drain() { g.draining.Store(true) }
 
 // FlightRecorder exposes the slow-trace recorder (for SIGQUIT dumps).
-func (g *Gateway) FlightRecorder() *obs.FlightRecorder { return g.flight }
+func (g *Gateway) FlightRecorder() *obs.FlightRecorder { return g.edge.Flight() }
 
 // Backend returns the index of the named backend, or -1.
 func (g *Gateway) Backend(name string) int {
@@ -179,98 +177,27 @@ func (g *Gateway) Backend(name string) int {
 	return -1
 }
 
-// traced mirrors the backend servers' tracing pipeline at the gateway
-// edge: adopt or mint the W3C trace, echo the outbound header, record
-// edge latency per (endpoint, outcome) and offer the finished trace to
-// the flight recorder. The same trace id then propagates to the chosen
-// backend, so one distributed timeline spans edge → gateway → backend →
-// monitor cycles.
-func (g *Gateway) traced(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+// admitted runs h holding a gateway in-flight slot, or sheds the request
+// without running it. Like every gateway-originated 429/502/503, the
+// rejection carries Retry-After (obs.ReplyError), so clients never have
+// to guess whether it is worth retrying.
+func (g *Gateway) admitted(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		tr := obs.NewTrace(endpoint, r.Header.Get("traceparent"))
-		w.Header().Set("Traceparent", tr.Traceparent())
-		sw := &statusWriter{ResponseWriter: w}
-		h(sw, r.WithContext(obs.WithTrace(r.Context(), tr)))
-		td := tr.Finish(outcomeFor(sw.status))
-		g.lat.Observe(endpoint, td.Outcome, time.Duration(td.DurNS))
-		g.flight.Record(td)
-	}
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-func outcomeFor(status int) string {
-	switch {
-	case status == 0 || (status >= 200 && status < 300):
-		return "ok"
-	case status == http.StatusTooManyRequests:
-		return "rejected"
-	case status == http.StatusServiceUnavailable:
-		return "unavailable"
-	case status == http.StatusBadGateway:
-		return "bad_gateway"
-	case status >= 400 && status < 500:
-		return "bad_request"
-	default:
-		return "error"
-	}
-}
-
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func (g *Gateway) reply(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(body)
-}
-
-// replyErr answers a gateway-originated error. Every retryable rejection
-// the gateway itself mints (429 shed, 503 no-backend/migrating/draining,
-// 502 backend-died) carries Retry-After, mirroring the backends' own
-// backpressure contract, so clients never have to guess whether a
-// gateway rejection is worth retrying.
-func (g *Gateway) replyErr(w http.ResponseWriter, status int, retryAfter string, format string, args ...any) {
-	if retryAfter != "" && w.Header().Get("Retry-After") == "" {
-		w.Header().Set("Retry-After", retryAfter)
-	}
-	g.reply(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
-}
-
-// admit takes a gateway in-flight slot, or sheds the request. The
-// returned release func is nil when admission failed (the response has
-// already been written).
-func (g *Gateway) admit(w http.ResponseWriter) func() {
-	if g.draining.Load() {
-		g.drainRej.Add(1)
-		g.replyErr(w, http.StatusServiceUnavailable, "5", "gateway draining")
-		return nil
-	}
-	select {
-	case g.slots <- struct{}{}:
-		return func() { <-g.slots }
-	default:
-		g.shed429.Add(1)
-		g.replyErr(w, http.StatusTooManyRequests, "1", "gateway saturated (in-flight limit %d)", g.cfg.MaxInFlight)
-		return nil
+		g.requests.Add(1)
+		if g.draining.Load() {
+			g.drainRej.Add(1)
+			w.Header().Set("Retry-After", "5")
+			obs.ReplyError(w, http.StatusServiceUnavailable, "gateway draining")
+			return
+		}
+		select {
+		case g.slots <- struct{}{}:
+			defer func() { <-g.slots }()
+			h(w, r)
+		default:
+			g.shed429.Add(1)
+			obs.ReplyError(w, http.StatusTooManyRequests, "gateway saturated (in-flight limit %d)", g.cfg.MaxInFlight)
+		}
 	}
 }
 
@@ -470,24 +397,17 @@ func queryOf(r *http.Request) string {
 // without a shard key all hash to the same well-known shard, so an
 // unsharded client still sees one consistent counter stream.
 func (g *Gateway) handleNotarySign(w http.ResponseWriter, r *http.Request) {
-	g.requests.Add(1)
-	release := g.admit(w)
-	if release == nil {
-		return
-	}
-	defer release()
-
 	key := r.URL.Query().Get("shard")
 	if key == "" {
 		key = r.Header.Get("X-Komodo-Shard")
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBody+1))
 	if err != nil {
-		g.replyErr(w, http.StatusBadRequest, "", "reading body: %v", err)
+		obs.ReplyError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
 	if int64(len(body)) > maxProxyBody {
-		g.replyErr(w, http.StatusRequestEntityTooLarge, "", "body larger than %d bytes", maxProxyBody)
+		obs.ReplyError(w, http.StatusRequestEntityTooLarge, "body larger than %d bytes", maxProxyBody)
 		return
 	}
 
@@ -498,12 +418,13 @@ func (g *Gateway) handleNotarySign(w http.ResponseWriter, r *http.Request) {
 		b, held, skipped := g.routeShard(key)
 		if held {
 			g.holds.Add(1)
-			g.replyErr(w, http.StatusServiceUnavailable, "1", "shard %q migrating; retry shortly", key)
+			obs.ReplyError(w, http.StatusServiceUnavailable, "shard %q migrating; retry shortly", key)
 			return
 		}
 		if b == nil {
 			g.noBackend.Add(1)
-			g.replyErr(w, http.StatusServiceUnavailable, "2", "no live backend for shard %q", key)
+			w.Header().Set("Retry-After", "2")
+			obs.ReplyError(w, http.StatusServiceUnavailable, "no live backend for shard %q", key)
 			return
 		}
 		if _, err := g.forwardTo(w, r, b, body); err != nil {
@@ -511,7 +432,7 @@ func (g *Gateway) handleNotarySign(w http.ResponseWriter, r *http.Request) {
 				continue // backend demoted by observe(); re-route
 			}
 			g.badGateway.Add(1)
-			g.replyErr(w, http.StatusBadGateway, "1", "backend %s: %v", b.name, err)
+			obs.ReplyError(w, http.StatusBadGateway, "backend %s: %v", b.name, err)
 			return
 		}
 		// Count the failover once per served request, not once per dial
@@ -522,25 +443,20 @@ func (g *Gateway) handleNotarySign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g.noBackend.Add(1)
-	g.replyErr(w, http.StatusServiceUnavailable, "2", "no live backend for shard %q", key)
+	w.Header().Set("Retry-After", "2")
+	obs.ReplyError(w, http.StatusServiceUnavailable, "no live backend for shard %q", key)
 }
 
 // handleStateless proxies endpoints with no shard affinity (/v1/attest,
 // /v1/quotekey) round-robin across up backends, retrying dial failures
 // on the next backend (both endpoints are idempotent GETs).
 func (g *Gateway) handleStateless(w http.ResponseWriter, r *http.Request) {
-	g.requests.Add(1)
-	release := g.admit(w)
-	if release == nil {
-		return
-	}
-	defer release()
-
 	for attempt := 0; attempt <= len(g.backends); attempt++ {
 		b := g.nextUp()
 		if b == nil {
 			g.noBackend.Add(1)
-			g.replyErr(w, http.StatusServiceUnavailable, "2", "no live backend")
+			w.Header().Set("Retry-After", "2")
+			obs.ReplyError(w, http.StatusServiceUnavailable, "no live backend")
 			return
 		}
 		if _, err := g.forwardTo(w, r, b, nil); err != nil {
@@ -548,13 +464,14 @@ func (g *Gateway) handleStateless(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			g.badGateway.Add(1)
-			g.replyErr(w, http.StatusBadGateway, "1", "backend %s: %v", b.name, err)
+			obs.ReplyError(w, http.StatusBadGateway, "backend %s: %v", b.name, err)
 			return
 		}
 		return
 	}
 	g.noBackend.Add(1)
-	g.replyErr(w, http.StatusServiceUnavailable, "2", "no live backend")
+	w.Header().Set("Retry-After", "2")
+	obs.ReplyError(w, http.StatusServiceUnavailable, "no live backend")
 }
 
 // handleAdminProxy proxies the state-management plane (/v1/checkpoint,
@@ -564,37 +481,30 @@ func (g *Gateway) handleStateless(w http.ResponseWriter, r *http.Request) {
 // aiming sealed state at the wrong node must be impossible to do by
 // accident.
 func (g *Gateway) handleAdminProxy(w http.ResponseWriter, r *http.Request) {
-	g.requests.Add(1)
-	release := g.admit(w)
-	if release == nil {
-		return
-	}
-	defer release()
-
 	name := r.URL.Query().Get("backend")
 	if name == "" {
-		g.replyErr(w, http.StatusBadRequest, "", "missing backend parameter (explicit node required for state operations)")
+		obs.ReplyError(w, http.StatusBadRequest, "missing backend parameter (explicit node required for state operations)")
 		return
 	}
 	idx := g.Backend(name)
 	if idx < 0 {
-		g.replyErr(w, http.StatusNotFound, "", "unknown backend %q", name)
+		obs.ReplyError(w, http.StatusNotFound, "unknown backend %q", name)
 		return
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBody+1))
 	if err != nil {
-		g.replyErr(w, http.StatusBadRequest, "", "reading body: %v", err)
+		obs.ReplyError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
 	if int64(len(body)) > maxProxyBody {
-		g.replyErr(w, http.StatusRequestEntityTooLarge, "", "body larger than %d bytes", maxProxyBody)
+		obs.ReplyError(w, http.StatusRequestEntityTooLarge, "body larger than %d bytes", maxProxyBody)
 		return
 	}
 	b := g.backends[idx]
 	b.inflight.Add(1) // explicit targeting bypasses routing; forwardTo decrements
 	if _, err := g.forwardTo(w, r, b, body); err != nil {
 		g.badGateway.Add(1)
-		g.replyErr(w, http.StatusBadGateway, "1", "backend %s: %v", name, err)
+		obs.ReplyError(w, http.StatusBadGateway, "backend %s: %v", name, err)
 	}
 }
 
@@ -627,7 +537,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if status != http.StatusOK {
 		w.Header().Set("Retry-After", "2")
 	}
-	g.reply(w, status, body)
+	obs.Reply(w, status, body)
 }
 
 // GatewayStats is the gateway-local counter block of FleetStats.
@@ -818,7 +728,7 @@ func (g *Gateway) fetchStats(b *backend) (*server.StatsResponse, error) {
 }
 
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
-	g.reply(w, http.StatusOK, g.Stats())
+	obs.Reply(w, http.StatusOK, g.Stats())
 }
 
 // BackendsResponse is the /v1/admin/backends body: probe/ring state at a
@@ -843,19 +753,5 @@ func (g *Gateway) handleBackends(w http.ResponseWriter, r *http.Request) {
 	for i, n := range g.ring.Spread(1024) {
 		out.Spread[g.backends[g.resolve(i)].name] += n
 	}
-	g.reply(w, http.StatusOK, out)
-}
-
-func (g *Gateway) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
-	if id := r.URL.Query().Get("id"); id != "" {
-		td, ok := g.flight.Find(id)
-		if !ok {
-			g.replyErr(w, http.StatusNotFound, "", "trace %s not retained", id)
-			return
-		}
-		g.reply(w, http.StatusOK, td)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	g.flight.WriteJSON(w)
+	obs.Reply(w, http.StatusOK, out)
 }

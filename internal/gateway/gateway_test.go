@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/telemetry"
 )
@@ -485,6 +486,36 @@ func TestMetricsExposeGatewayFamilies(t *testing.T) {
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("/metrics missing %s", want)
+		}
+	}
+}
+
+// TestDebugTracesMinMSFilter: the gateway's flight dump honours
+// ?min_ms= like a backend's, and the envelope still describes the whole
+// recorder.
+func TestDebugTracesMinMSFilter(t *testing.T) {
+	a := newStub(t)
+	g := newStubGateway(t, Config{}, a)
+	ts := httptest.NewServer(g)
+	defer ts.Close()
+
+	postSign(t, ts.URL, "s0")
+	for _, c := range []struct {
+		minMS string
+		kept  int
+	}{{"0", 1}, {"100000", 0}} {
+		var dump obs.Dump
+		resp, err := http.Get(ts.URL + "/v1/debug/traces?min_ms=" + c.minMS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&dump)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(dump.Traces) != c.kept || dump.Retained != 1 {
+			t.Fatalf("min_ms=%s: kept %d of %d retained, want %d of 1", c.minMS, len(dump.Traces), dump.Retained, c.kept)
 		}
 	}
 }

@@ -8,11 +8,12 @@ import (
 
 // handleMetrics serves the gateway's Prometheus exposition: the
 // komodo_gateway_* families (edge counters, per-backend probe/proxy
-// state with a backend label, per-backend latency histograms) plus Go
-// runtime stats. Fleet-wide enclave telemetry is deliberately NOT
-// re-exported here — scrape each backend's /metrics for that, or read
-// the merged JSON view at /v1/stats; re-exporting sums under the same
-// names would double-count in any aggregating Prometheus setup.
+// state with a backend label, per-backend latency histograms), the
+// shared edge families (obs.Edge) and Go runtime stats. Fleet-wide
+// enclave telemetry is deliberately NOT re-exported here — scrape each
+// backend's /metrics for that, or read the merged JSON view at
+// /v1/stats; re-exporting sums under the same names would double-count
+// in any aggregating Prometheus setup.
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	p := obs.NewPromWriter(w)
@@ -47,7 +48,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		obs.Sample{Value: float64(g.cfg.MaxInFlight)})
 	p.Gauge("komodo_gateway_draining",
 		"1 while the gateway is draining, else 0.",
-		obs.Sample{Value: b2f(g.draining.Load())})
+		obs.Sample{Value: obs.BoolValue(g.draining.Load())})
 
 	nb := len(g.backends)
 	up := make([]obs.Sample, 0, nb)
@@ -59,11 +60,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var latSeries []obs.HistSeries
 	for _, b := range g.backends {
 		l := obs.L("backend", b.name)
-		upv := 0.0
-		if b.State() == StateUp {
-			upv = 1
-		}
-		up = append(up, obs.Sample{Labels: l, Value: upv})
+		up = append(up, obs.Sample{Labels: l, Value: obs.BoolValue(b.State() == StateUp)})
 		probes = append(probes, obs.Sample{Labels: l, Value: float64(b.probes.Load())})
 		probeFails = append(probeFails, obs.Sample{Labels: l, Value: float64(b.probeFails.Load())})
 		transitions = append(transitions, obs.Sample{Labels: l, Value: float64(b.transitions.Load())})
@@ -91,29 +88,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Histogram("komodo_gateway_backend_duration_seconds",
 		"Proxied request latency per backend (gateway-measured).", latSeries...)
 
-	var edge []obs.HistSeries
-	g.lat.Each(func(endpoint, outcome string, h *obs.Histogram) {
-		edge = append(edge, obs.HistSeries{
-			Labels: obs.L("endpoint", endpoint, "outcome", outcome),
-			Snap:   h.Snapshot(),
-		})
-	})
-	p.Histogram("komodo_gateway_request_duration_seconds",
-		"Gateway-edge request latency by endpoint and outcome.", edge...)
-
-	p.Counter("komodo_flight_traces_seen_total",
-		"Finished traces offered to the gateway flight recorder.",
-		obs.Sample{Value: float64(g.flight.Seen())})
-	p.Gauge("komodo_flight_traces_retained",
-		"Slow traces currently retained for /v1/debug/traces.",
-		obs.Sample{Value: float64(g.flight.Len())})
+	g.edge.WriteMetrics(p)
 
 	obs.WriteRuntimeMetrics(p)
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -124,12 +124,18 @@ type Dump struct {
 }
 
 // WriteJSON writes the recorder's contents as an indented JSON Dump.
-func (f *FlightRecorder) WriteJSON(w io.Writer) error {
-	d := Dump{Traces: f.Slowest(), Seen: f.Seen()}
-	if d.Traces == nil {
-		d.Traces = []TraceData{}
+func (f *FlightRecorder) WriteJSON(w io.Writer) error { return f.writeDump(w, 0) }
+
+// writeDump writes an indented JSON Dump of the retained traces at least
+// minNS long; its Seen and Retained still describe the whole recorder.
+func (f *FlightRecorder) writeDump(w io.Writer, minNS int64) error {
+	retained := f.Slowest()
+	d := Dump{Seen: f.Seen(), Retained: len(retained), Traces: []TraceData{}}
+	for _, td := range retained {
+		if td.DurNS >= minNS {
+			d.Traces = append(d.Traces, td)
+		}
 	}
-	d.Retained = len(d.Traces)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(d)

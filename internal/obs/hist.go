@@ -266,6 +266,16 @@ func (v *LatencyVec) Get(endpoint, outcome string) *Histogram {
 	return v.m[[2]string{endpoint, outcome}]
 }
 
+// Series returns every series as a PromWriter histogram series labelled
+// keyLabel (the first key) and "outcome", in Each order.
+func (v *LatencyVec) Series(keyLabel string) []HistSeries {
+	var out []HistSeries
+	v.Each(func(key, outcome string, h *Histogram) {
+		out = append(out, HistSeries{Labels: L(keyLabel, key, "outcome", outcome), Snap: h.Snapshot()})
+	})
+	return out
+}
+
 // Each visits every series in deterministic (endpoint, outcome) order.
 func (v *LatencyVec) Each(f func(endpoint, outcome string, h *Histogram)) {
 	if v == nil {

@@ -3,7 +3,9 @@
 // timelines that link wall-clock time at the HTTP edge to simulated cycles
 // inside the monitor, lock-free latency histograms with quantile export,
 // a Prometheus text-exposition writer, and a flight recorder that retains
-// the slowest request traces for post-hoc debugging.
+// the slowest request traces for post-hoc debugging. Edge ties them
+// together as the HTTP request edge that komodo-serve and komodo-gateway
+// share.
 //
 // The package deliberately has no dependencies on the rest of the
 // repository (or on anything outside the standard library), so every layer

@@ -86,23 +86,16 @@ func (s *Server) withTenant(h http.HandlerFunc) http.HandlerFunc {
 		if !d.OK {
 			s.requests.Add(1)
 			s.tenantRejects.Add(1)
-			retry := d.RetryAfter
-			if retry < 1 {
-				retry = 1
-			}
 			w.Header().Set(RejectHeader, d.Reason)
-			w.Header().Set("Retry-After", strconv.Itoa(retry))
-			s.reply(w, d.Status, errorBody{Error: "admission: " + d.Reason})
+			if d.RetryAfter > 1 {
+				w.Header().Set("Retry-After", strconv.Itoa(d.RetryAfter))
+			}
+			obs.ReplyError(w, d.Status, "admission: %s", d.Reason)
 			return
 		}
 		start := time.Now()
-		sw, _ := w.(*statusWriter)
 		h(w, r.WithContext(context.WithValue(r.Context(), tenantKey{}, d)))
-		outcome := "ok"
-		if sw != nil {
-			outcome = outcomeFor(sw.status)
-		}
-		s.tierLat.Observe(d.Tier, outcome, time.Since(start))
+		s.tierLat.Observe(d.Tier, obs.Outcome(w), time.Since(start))
 	}
 }
 
@@ -129,35 +122,27 @@ func mintNonce(hexOverride string) ([batch.NonceSize]byte, error) {
 // enclave entry for the whole batch, checkpointed like a single sign so
 // durable counters keep their once-issued-never-replayed guarantee.
 func (s *Server) signBatchRoot(ctx context.Context, root [8]uint32) (batch.SignedRoot, error) {
-	wk, err := s.cfg.Pool.Get(ctx)
-	if err != nil {
-		return batch.SignedRoot{}, err
-	}
-	st, ok := wk.State().(*WorkerState)
-	if !ok {
-		s.cfg.Pool.Release(ctx, wk, pool.Fail)
-		return batch.SignedRoot{}, fmt.Errorf("worker state is %T, want *WorkerState", wk.State())
-	}
-	n, err := BatchSign(ctx, st, root)
-	if err != nil {
-		s.cfg.Pool.Release(ctx, wk, pool.Fail)
-		return batch.SignedRoot{}, err
-	}
-	if err := s.maybeCheckpoint(wk, st, n.Counter); err != nil {
-		s.cfg.Pool.Release(ctx, wk, pool.Fail)
-		return batch.SignedRoot{}, fmt.Errorf("checkpointing batch notary: %w", err)
-	}
-	sr := batch.SignedRoot{
-		Root:     root,
-		Counter:  n.Counter,
-		Digest:   n.Digest,
-		MAC:      n.MAC,
-		Worker:   wk.ID(),
-		Epoch:    wk.Epoch(),
-		Restores: st.Restores,
-	}
-	s.cfg.Pool.Release(ctx, wk, pool.Keep)
-	return sr, nil
+	var sr batch.SignedRoot
+	err := s.checkout(ctx, func(ctx context.Context, wk *pool.Worker, st *WorkerState) (pool.Outcome, error) {
+		n, err := BatchSign(ctx, st, root)
+		if err != nil {
+			return pool.Fail, err
+		}
+		if err := s.maybeCheckpoint(wk, st, n.Counter); err != nil {
+			return pool.Fail, fmt.Errorf("checkpointing batch notary: %w", err)
+		}
+		sr = batch.SignedRoot{
+			Root:     root,
+			Counter:  n.Counter,
+			Digest:   n.Digest,
+			MAC:      n.MAC,
+			Worker:   wk.ID(),
+			Epoch:    wk.Epoch(),
+			Restores: st.Restores,
+		}
+		return pool.Keep, nil
+	})
+	return sr, err
 }
 
 // BatchProof is the inclusion-proof section of a batched NotaryResponse:
@@ -185,13 +170,12 @@ type BatchProof struct {
 func (s *Server) handleBatchSign(w http.ResponseWriter, r *http.Request, doc []byte) {
 	s.requests.Add(1)
 	if s.draining.Load() {
-		w.Header().Set(RejectHeader, RejectDrain)
 		s.replyDraining(w)
 		return
 	}
 	nonce, err := mintNonce(r.Header.Get(NonceHeader))
 	if err != nil {
-		s.replyErr(w, http.StatusBadRequest, "bad %s: %v", NonceHeader, err)
+		obs.ReplyError(w, http.StatusBadRequest, "bad %s: %v", NonceHeader, err)
 		return
 	}
 	h := sha2.New()
@@ -218,23 +202,22 @@ func (s *Server) handleBatchSign(w http.ResponseWriter, r *http.Request, doc []b
 		sp.EndDetail("saturated")
 		s.rejected.Add(1)
 		w.Header().Set(RejectHeader, RejectQueueFull)
-		s.replyErr(w, http.StatusTooManyRequests, "batch queue saturated")
+		obs.ReplyError(w, http.StatusTooManyRequests, "batch queue saturated")
 		return
 	case errors.Is(err, batch.ErrClosed):
 		sp.EndDetail("closed")
-		w.Header().Set(RejectHeader, RejectDrain)
 		s.replyDraining(w)
 		return
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 		sp.EndDetail("timeout")
 		s.timeouts.Add(1)
 		w.Header().Set(RejectHeader, RejectTimeout)
-		s.replyErr(w, http.StatusServiceUnavailable, "no batch signature within deadline: %v", err)
+		obs.ReplyError(w, http.StatusServiceUnavailable, "no batch signature within deadline: %v", err)
 		return
 	default:
 		sp.EndDetail("error")
 		s.failures.Add(1)
-		s.replyErr(w, http.StatusInternalServerError, "%v", err)
+		obs.ReplyError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 
@@ -248,7 +231,7 @@ func (s *Server) handleBatchSign(w http.ResponseWriter, r *http.Request, doc []b
 	if rec.Coalesced > 1 {
 		coalesced = rec.Coalesced
 	}
-	s.reply(w, http.StatusOK, NotaryResponse{
+	obs.Reply(w, http.StatusOK, NotaryResponse{
 		Counter:  rec.Counter,
 		Digest:   EncodeWords(rec.Digest),
 		MAC:      EncodeWords(rec.MAC),

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/replay"
 )
 
@@ -26,17 +27,17 @@ type FreezeResponse struct {
 // fleetEntry resolves the ?worker= parameter against the debug fleet.
 func (s *Server) fleetEntry(w http.ResponseWriter, r *http.Request) (*replay.FleetEntry, int, bool) {
 	if s.cfg.Fleet == nil {
-		s.replyErr(w, http.StatusNotFound, "debug fleet not enabled (start with -record support / a Fleet)")
+		obs.ReplyError(w, http.StatusNotFound, "debug fleet not enabled (start with -record support / a Fleet)")
 		return nil, 0, false
 	}
 	id, err := strconv.Atoi(r.URL.Query().Get("worker"))
 	if err != nil {
-		s.replyErr(w, http.StatusBadRequest, "worker must be an integer id (have %v)", s.cfg.Fleet.IDs())
+		obs.ReplyError(w, http.StatusBadRequest, "worker must be an integer id (have %v)", s.cfg.Fleet.IDs())
 		return nil, 0, false
 	}
 	e, err := s.cfg.Fleet.Get(id)
 	if err != nil {
-		s.replyErr(w, http.StatusNotFound, "%v", err)
+		obs.ReplyError(w, http.StatusNotFound, "%v", err)
 		return nil, 0, false
 	}
 	return e, id, true
@@ -49,7 +50,7 @@ func (s *Server) fleetEntry(w http.ResponseWriter, r *http.Request) (*replay.Fle
 // load or use /v1/debug/mon's step/until commands once frozen.
 func (s *Server) handleDebugFreeze(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		s.replyErr(w, http.StatusMethodNotAllowed, "POST ?worker=N[&state=off]")
+		obs.ReplyError(w, http.StatusMethodNotAllowed, "POST ?worker=N[&state=off]")
 		return
 	}
 	e, id, ok := s.fleetEntry(w, r)
@@ -58,10 +59,10 @@ func (s *Server) handleDebugFreeze(w http.ResponseWriter, r *http.Request) {
 	}
 	if st := r.URL.Query().Get("state"); st == "off" {
 		if err := e.Fz.Resume(); err != nil {
-			s.replyErr(w, http.StatusConflict, "%v", err)
+			obs.ReplyError(w, http.StatusConflict, "%v", err)
 			return
 		}
-		s.reply(w, http.StatusOK, FreezeResponse{Worker: id, Frozen: false})
+		obs.Reply(w, http.StatusOK, FreezeResponse{Worker: id, Frozen: false})
 		return
 	}
 	timeout := time.Second
@@ -69,15 +70,15 @@ func (s *Server) handleDebugFreeze(w http.ResponseWriter, r *http.Request) {
 		timeout = time.Duration(ms) * time.Millisecond
 	}
 	if err := e.Fz.Freeze(timeout); err != nil {
-		s.replyErr(w, http.StatusConflict, "%v", err)
+		obs.ReplyError(w, http.StatusConflict, "%v", err)
 		return
 	}
 	pc, insn, why, err := e.Fz.Where()
 	if err != nil {
-		s.replyErr(w, http.StatusInternalServerError, "%v", err)
+		obs.ReplyError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	s.reply(w, http.StatusOK, FreezeResponse{
+	obs.Reply(w, http.StatusOK, FreezeResponse{
 		Worker: id, Frozen: true,
 		PC: fmt.Sprintf("%#08x", pc), Insn: insn.Disasm(), Why: why,
 	})
@@ -88,7 +89,7 @@ func (s *Server) handleDebugFreeze(w http.ResponseWriter, r *http.Request) {
 // ?worker=N with the command in the body (or ?cmd=). Output is plain text.
 func (s *Server) handleDebugMon(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		s.replyErr(w, http.StatusMethodNotAllowed, "POST ?worker=N with the command line as body")
+		obs.ReplyError(w, http.StatusMethodNotAllowed, "POST ?worker=N with the command line as body")
 		return
 	}
 	e, _, ok := s.fleetEntry(w, r)
@@ -99,7 +100,7 @@ func (s *Server) handleDebugMon(w http.ResponseWriter, r *http.Request) {
 	if cmd == "" {
 		body, err := io.ReadAll(io.LimitReader(r.Body, maxMonCommandBytes+1))
 		if err != nil || len(body) > maxMonCommandBytes {
-			s.replyErr(w, http.StatusBadRequest, "command line unreadable or over %d bytes", maxMonCommandBytes)
+			obs.ReplyError(w, http.StatusBadRequest, "command line unreadable or over %d bytes", maxMonCommandBytes)
 			return
 		}
 		cmd = string(body)
@@ -122,31 +123,31 @@ type ReplayCheckResponse struct {
 // self-check behind "a recorded request replays bit-identically".
 func (s *Server) handleDebugReplay(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		s.replyErr(w, http.StatusMethodNotAllowed, "POST ?id=<trace-id>")
+		obs.ReplyError(w, http.StatusMethodNotAllowed, "POST ?id=<trace-id>")
 		return
 	}
 	if s.cfg.RecordDir == "" {
-		s.replyErr(w, http.StatusNotFound, "recording disabled (no RecordDir)")
+		obs.ReplyError(w, http.StatusNotFound, "recording disabled (no RecordDir)")
 		return
 	}
 	id := r.URL.Query().Get("id")
 	if id == "" || id != filepath.Base(id) {
-		s.replyErr(w, http.StatusBadRequest, "id must be a bare trace id")
+		obs.ReplyError(w, http.StatusBadRequest, "id must be a bare trace id")
 		return
 	}
 	t, err := replay.Load(filepath.Join(s.cfg.RecordDir, id+".krec"))
 	if err != nil {
-		s.replyErr(w, http.StatusNotFound, "loading trace: %v", err)
+		obs.ReplyError(w, http.StatusNotFound, "loading trace: %v", err)
 		return
 	}
 	res, err := replay.Replay(t)
 	if err != nil {
-		s.replyErr(w, http.StatusInternalServerError, "%v", err)
+		obs.ReplyError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	out := ReplayCheckResponse{Trace: id, Ops: res.Ops, Cycles: res.Cycles, OK: res.OK()}
 	for _, d := range res.Divergence {
 		out.Divergences = append(out.Divergences, d.String())
 	}
-	s.reply(w, http.StatusOK, out)
+	obs.Reply(w, http.StatusOK, out)
 }

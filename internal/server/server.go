@@ -2,7 +2,7 @@ package server
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -25,6 +25,9 @@ import (
 // at most a few MiB of base64-wrapped sealed words; 32 MiB is generous.
 const maxCheckpointBytes = int64(32 << 20)
 
+// maxNonceBytes bounds the /v1/attest nonce.
+const maxNonceBytes = 256
+
 // Config configures New.
 type Config struct {
 	// Pool supplies the workers. Required.
@@ -38,8 +41,6 @@ type Config struct {
 	// itself is not preemptible — bound it with komodo.WithExecBudget on
 	// the pool's boot options.
 	RequestTimeout time.Duration
-	// MaxNonceBytes bounds the attestation nonce (default 256).
-	MaxNonceBytes int
 	// Checkpoints, if set, makes notary counters durable: after a sign
 	// the notary enclave is sealed into a checkpoint and appended to
 	// this store, and /v1/checkpoint + /v1/restore are enabled. Pair it
@@ -85,10 +86,6 @@ type Config struct {
 	// (/v1/debug/freeze, /v1/debug/mon) over the pool's workers. Install
 	// workers into it from the pool's Provision hook.
 	Fleet *replay.Fleet
-	// SinkDropped, if set, reports how many telemetry events the
-	// process's event sink has dropped (telemetry.JSONLSink.Dropped) for
-	// the komodo_obs_sink_dropped_total metric.
-	SinkDropped func() uint64
 }
 
 // Server is the HTTP front end. It implements http.Handler.
@@ -109,9 +106,8 @@ type Server struct {
 	quoteKey atomic.Pointer[[8]uint32]
 
 	agg     *batch.Aggregator // batched sign path (nil unless BatchMaxSize > 0)
-	lat     *obs.LatencyVec   // wall-clock latency per (endpoint, outcome)
+	edge    *obs.Edge         // tracing, latency per (endpoint, outcome), flight recorder
 	tierLat *obs.LatencyVec   // wall-clock latency per (tier, outcome)
-	flight  *obs.FlightRecorder
 
 	// Record/replay state (RecordDir mode): finished-but-unpersisted
 	// traces keyed by trace id, and one memory-export baseline per worker
@@ -128,17 +124,14 @@ func New(cfg Config) *Server {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 5 * time.Second
 	}
-	if cfg.MaxNonceBytes <= 0 {
-		cfg.MaxNonceBytes = 256
-	}
 	s := &Server{
 		cfg:     cfg,
 		mux:     http.NewServeMux(),
 		slots:   make(chan struct{}, cfg.QueueDepth),
-		lat:     obs.NewLatencyVec(),
+		edge:    obs.NewEdge("komodo_request_duration_seconds", cfg.FlightRecorderSize),
 		tierLat: obs.NewLatencyVec(),
-		flight:  obs.NewFlightRecorder(cfg.FlightRecorderSize),
 	}
+	s.edge.OnFinish = s.persistRecording
 	if cfg.BatchMaxSize > 0 {
 		s.agg = batch.New(batch.Config{
 			MaxBatch:    cfg.BatchMaxSize,
@@ -150,15 +143,15 @@ func New(cfg Config) *Server {
 			Sign:        s.signBatchRoot,
 		})
 	}
-	s.mux.HandleFunc("/v1/attest", s.traced("/v1/attest", s.withTenant(s.handleAttest)))
-	s.mux.HandleFunc("/v1/notary/sign", s.traced("/v1/notary/sign", s.withTenant(s.handleNotarySign)))
-	s.mux.HandleFunc("/v1/healthz", s.traced("/v1/healthz", s.handleHealthz))
-	s.mux.HandleFunc("/v1/stats", s.traced("/v1/stats", s.handleStats))
-	s.mux.HandleFunc("/v1/quotekey", s.traced("/v1/quotekey", s.handleQuoteKey))
-	s.mux.HandleFunc("/v1/checkpoint", s.traced("/v1/checkpoint", s.handleCheckpoint))
-	s.mux.HandleFunc("/v1/restore", s.traced("/v1/restore", s.handleRestore))
-	s.mux.HandleFunc("/v1/drain", s.traced("/v1/drain", s.handleDrain))
-	s.mux.HandleFunc("/v1/debug/traces", s.handleDebugTraces)
+	s.mux.HandleFunc("/v1/attest", s.edge.Traced("/v1/attest", s.withTenant(s.handleAttest)))
+	s.mux.HandleFunc("/v1/notary/sign", s.edge.Traced("/v1/notary/sign", s.withTenant(s.handleNotarySign)))
+	s.mux.HandleFunc("/v1/healthz", s.edge.Traced("/v1/healthz", s.handleHealthz))
+	s.mux.HandleFunc("/v1/stats", s.edge.Traced("/v1/stats", s.handleStats))
+	s.mux.HandleFunc("/v1/quotekey", s.edge.Traced("/v1/quotekey", s.handleQuoteKey))
+	s.mux.HandleFunc("/v1/checkpoint", s.edge.Traced("/v1/checkpoint", s.handleCheckpoint))
+	s.mux.HandleFunc("/v1/restore", s.edge.Traced("/v1/restore", s.handleRestore))
+	s.mux.HandleFunc("/v1/drain", s.edge.Traced("/v1/drain", s.handleDrain))
+	s.mux.HandleFunc("/v1/debug/traces", s.edge.HandleDebugTraces)
 	s.mux.HandleFunc("/v1/debug/freeze", s.handleDebugFreeze)
 	s.mux.HandleFunc("/v1/debug/mon", s.handleDebugMon)
 	s.mux.HandleFunc("/v1/debug/replay", s.handleDebugReplay)
@@ -167,62 +160,7 @@ func New(cfg Config) *Server {
 }
 
 // FlightRecorder exposes the slow-request recorder (for SIGQUIT dumps).
-func (s *Server) FlightRecorder() *obs.FlightRecorder { return s.flight }
-
-// statusWriter captures the response status for outcome classification.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-// outcomeFor maps an HTTP status onto the outcome label used on latency
-// series and trace records.
-func outcomeFor(status int) string {
-	switch {
-	case status == 0 || status == http.StatusOK:
-		return "ok"
-	case status == http.StatusTooManyRequests:
-		return "rejected"
-	case status == http.StatusServiceUnavailable:
-		return "unavailable"
-	case status >= 400 && status < 500:
-		return "bad_request"
-	default:
-		return "error"
-	}
-}
-
-// traced wraps a handler in the request-tracing pipeline: adopt the
-// inbound W3C traceparent (or mint a fresh trace), thread the trace
-// through the request context, echo the outbound traceparent header,
-// and on completion record the wall-clock latency on the endpoint's
-// histogram and offer the finished trace to the flight recorder.
-func (s *Server) traced(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		tr := obs.NewTrace(endpoint, r.Header.Get("traceparent"))
-		w.Header().Set("Traceparent", tr.Traceparent())
-		sw := &statusWriter{ResponseWriter: w}
-		h(sw, r.WithContext(obs.WithTrace(r.Context(), tr)))
-		td := tr.Finish(outcomeFor(sw.status))
-		s.persistRecording(&td)
-		s.lat.Observe(endpoint, td.Outcome, time.Duration(td.DurNS))
-		s.flight.Record(td)
-	}
-}
+func (s *Server) FlightRecorder() *obs.FlightRecorder { return s.edge.Flight() }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
@@ -255,69 +193,73 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // (in service plus waiting for a worker).
 func (s *Server) QueueLen() int { return len(s.slots) }
 
-// errorBody is every non-200 response.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func (s *Server) reply(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(body)
-}
-
-func (s *Server) replyErr(w http.ResponseWriter, status int, format string, args ...any) {
-	// Backpressure rejections are retryable; tell clients when. Queue
-	// saturation and worker-wait timeouts clear quickly (retry in 1s);
-	// draining means this instance is going away (back off longer, let
-	// the balancer re-route).
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		if w.Header().Get("Retry-After") == "" {
-			w.Header().Set("Retry-After", "1")
-		}
-	}
-	s.reply(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
-}
-
 // replyDraining rejects a request because the server is shutting down.
 func (s *Server) replyDraining(w http.ResponseWriter) {
 	s.drainRejects.Add(1)
 	w.Header().Set("Retry-After", "5")
 	w.Header().Set(RejectHeader, RejectDrain)
-	s.reply(w, http.StatusServiceUnavailable, errorBody{Error: "draining"})
+	obs.ReplyError(w, http.StatusServiceUnavailable, "draining")
 }
 
-// withWorker runs fn on a checked-out worker under the server's
-// backpressure discipline: bounded queue (429 on saturation), worker-wait
-// deadline (503), retire-on-error (any fn error releases with pool.Fail).
-// fn returns the release outcome for the success path.
+// workerFunc is the body of a worker checkout: it runs with the worker
+// held exclusively and returns the release outcome for the success path.
+type workerFunc func(ctx context.Context, wk *pool.Worker, st *WorkerState) (pool.Outcome, error)
+
+// errNoWorker marks a checkout that never got a worker (the pool closed,
+// or ctx ended while waiting); fn did not run.
+var errNoWorker = errors.New("no worker within deadline")
+
+// checkout is every worker checkout of the server: Get a worker, run fn
+// on its *WorkerState, then release it with fn's outcome, or with
+// pool.Fail when fn fails. When ctx carries a trace, the worker's
+// telemetry recorder is tagged with the trace's span tag while fn runs —
+// the worker is held exclusively, so every monitor boundary event
+// recorded in that window belongs to this request — and afterwards those
+// events are harvested back onto the trace as cycle-domain spans.
+func (s *Server) checkout(ctx context.Context, fn workerFunc) error {
+	wk, err := s.cfg.Pool.Get(ctx) // records the "acquire" span
+	if err != nil {
+		return fmt.Errorf("%w: %w", errNoWorker, err)
+	}
+	st, ok := wk.State().(*WorkerState)
+	if !ok {
+		s.cfg.Pool.Release(ctx, wk, pool.Fail)
+		return fmt.Errorf("worker state is %T, want *WorkerState", wk.State())
+	}
+	tr := obs.FromContext(ctx)
+	var rec *telemetry.Recorder
+	var mark uint64
+	if tr != nil {
+		rec = wk.System().Telemetry()
+		mark = rec.Ring().Total()
+		rec.SetSpanTag(tr.SpanTag())
+	}
+	outcome, err := fn(ctx, wk, st)
+	if tr != nil {
+		rec.SetSpanTag(0)
+		harvestCycleSpans(tr, rec, mark)
+	}
+	if err != nil {
+		s.cfg.Pool.Release(ctx, wk, pool.Fail)
+		return err
+	}
+	s.cfg.Pool.Release(ctx, wk, outcome) // records the "restore" span
+	return nil
+}
+
+// withWorker runs fn through checkout under the server's backpressure
+// discipline: bounded queue (429 on saturation), worker-wait deadline
+// (503), and 500 when fn fails. The phases land on the request's trace
+// as spans: "queue" (service-slot admission), "acquire" (worker wait),
+// "execute" (fn itself) and "restore" (release re-provisioning).
 //
-// The phases land on the request's trace as spans: "queue" (service-slot
-// admission), "acquire" (worker wait, recorded by the pool), "execute"
-// (fn itself) and "restore" (release re-provisioning, recorded by the
-// pool). While fn runs, the worker's telemetry recorder is tagged with
-// the trace's span tag — the worker is held exclusively, so every
-// monitor boundary event recorded in that window belongs to this
-// request — and afterwards those events are harvested back onto the
-// trace as cycle-domain spans.
-func (s *Server) withWorker(w http.ResponseWriter, r *http.Request,
-	fn func(ctx context.Context, wk *pool.Worker) (pool.Outcome, error)) {
-	s.withWorkerOpts(w, r, false, fn)
-}
-
-// withWorkerAdmin is withWorker for the migration/state-management plane
-// (/v1/checkpoint, /v1/restore): it stays usable while the server is
-// draining. Draining exists precisely so an orchestrator can stop the
-// request flow and *then* pull the sealed state off the node — refusing
-// the pull endpoints during a drain would deadlock every rolling-restart
-// and live-migration flow against the thing that enables them.
-func (s *Server) withWorkerAdmin(w http.ResponseWriter, r *http.Request,
-	fn func(ctx context.Context, wk *pool.Worker) (pool.Outcome, error)) {
-	s.withWorkerOpts(w, r, true, fn)
-}
-
-func (s *Server) withWorkerOpts(w http.ResponseWriter, r *http.Request, admin bool,
-	fn func(ctx context.Context, wk *pool.Worker) (pool.Outcome, error)) {
+// admin marks the migration/state-management plane (/v1/checkpoint,
+// /v1/restore), which stays usable while the server is draining.
+// Draining exists precisely so an orchestrator can stop the request flow
+// and *then* pull the sealed state off the node — refusing the pull
+// endpoints during a drain would deadlock every rolling-restart and
+// live-migration flow against the thing that enables them.
+func (s *Server) withWorker(w http.ResponseWriter, r *http.Request, admin bool, fn workerFunc) {
 	s.requests.Add(1)
 	if s.draining.Load() && !admin {
 		s.replyDraining(w)
@@ -332,46 +274,40 @@ func (s *Server) withWorkerOpts(w http.ResponseWriter, r *http.Request, admin bo
 		qsp.EndDetail("full")
 		s.rejected.Add(1)
 		w.Header().Set(RejectHeader, RejectQueueFull)
-		s.replyErr(w, http.StatusTooManyRequests, "queue full (depth %d)", s.cfg.QueueDepth)
+		obs.ReplyError(w, http.StatusTooManyRequests, "queue full (depth %d)", s.cfg.QueueDepth)
 		return
 	}
 	defer func() { <-s.slots }()
 
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	wk, err := s.cfg.Pool.Get(ctx) // records the "acquire" span
-	if err != nil {
-		if err == pool.ErrClosed {
-			s.replyDraining(w)
-			return
+	err := s.checkout(ctx, func(ctx context.Context, wk *pool.Worker, st *WorkerState) (pool.Outcome, error) {
+		recorder := s.startRecording(tr, wk, r.URL.Path)
+		exec := tr.StartSpan("execute")
+		outcome, err := fn(ctx, wk, st)
+		if err != nil {
+			exec.EndDetail("error")
+		} else {
+			exec.End()
 		}
+		if recorder != nil {
+			s.recordings.Store(tr.ID().String(), recorder.Stop())
+		}
+		return outcome, err
+	})
+	switch {
+	case err == nil:
+		s.served.Add(1)
+	case errors.Is(err, pool.ErrClosed):
+		s.replyDraining(w)
+	case errors.Is(err, errNoWorker):
 		s.timeouts.Add(1)
 		w.Header().Set(RejectHeader, RejectTimeout)
-		s.replyErr(w, http.StatusServiceUnavailable, "no worker within deadline: %v", err)
-		return
-	}
-
-	recorder := s.startRecording(tr, wk, r.URL.Path)
-	rec := wk.System().Telemetry()
-	mark := rec.Ring().Total()
-	rec.SetSpanTag(tr.SpanTag())
-	exec := tr.StartSpan("execute")
-	outcome, err := fn(ctx, wk)
-	rec.SetSpanTag(0)
-	harvestCycleSpans(tr, rec, mark)
-	if recorder != nil {
-		s.recordings.Store(tr.ID().String(), recorder.Stop())
-	}
-	if err != nil {
-		exec.EndDetail("error")
-		s.cfg.Pool.Release(r.Context(), wk, pool.Fail)
+		obs.ReplyError(w, http.StatusServiceUnavailable, "%v", err)
+	default:
 		s.failures.Add(1)
-		s.replyErr(w, http.StatusInternalServerError, "%v", err)
-		return
+		obs.ReplyError(w, http.StatusInternalServerError, "%v", err)
 	}
-	exec.End()
-	s.cfg.Pool.Release(r.Context(), wk, outcome)
-	s.served.Add(1)
 }
 
 // startRecording begins a replay recording for the request when RecordDir
@@ -402,7 +338,7 @@ func (s *Server) persistRecording(td *obs.TraceData) {
 	if !ok {
 		return
 	}
-	if !s.flight.WouldRetain(td.DurNS) {
+	if !s.edge.Flight().WouldRetain(td.DurNS) {
 		return
 	}
 	path := filepath.Join(s.cfg.RecordDir, td.TraceID+".krec")
@@ -417,9 +353,6 @@ func (s *Server) persistRecording(td *obs.TraceData) {
 // trace: one "smc:NAME" or "svc:NAME" span per call, carrying the
 // simulated cycles the monitor spent in it.
 func harvestCycleSpans(tr *obs.Trace, rec *telemetry.Recorder, mark uint64) {
-	if tr == nil {
-		return
-	}
 	for _, e := range rec.EventsSince(mark) {
 		if e.Span != tr.SpanTag() {
 			continue
@@ -459,24 +392,20 @@ type AttestResponse struct {
 func (s *Server) handleAttest(w http.ResponseWriter, r *http.Request) {
 	nonce := r.URL.Query().Get("nonce")
 	if nonce == "" {
-		s.replyErr(w, http.StatusBadRequest, "missing nonce parameter")
+		obs.ReplyError(w, http.StatusBadRequest, "missing nonce parameter")
 		return
 	}
-	if len(nonce) > s.cfg.MaxNonceBytes {
-		s.replyErr(w, http.StatusBadRequest, "nonce longer than %d bytes", s.cfg.MaxNonceBytes)
+	if len(nonce) > maxNonceBytes {
+		obs.ReplyError(w, http.StatusBadRequest, "nonce longer than %d bytes", maxNonceBytes)
 		return
 	}
-	s.withWorker(w, r, func(ctx context.Context, wk *pool.Worker) (pool.Outcome, error) {
-		st, ok := wk.State().(*WorkerState)
-		if !ok {
-			return pool.Fail, fmt.Errorf("worker state is %T, want *WorkerState", wk.State())
-		}
+	s.withWorker(w, r, false, func(ctx context.Context, wk *pool.Worker, st *WorkerState) (pool.Outcome, error) {
 		att, err := Attest(ctx, st, NonceWords([]byte(nonce)))
 		if err != nil {
 			return pool.Fail, err
 		}
 		s.quoteKey.CompareAndSwap(nil, &st.QuoteKey)
-		s.reply(w, http.StatusOK, AttestResponse{
+		obs.Reply(w, http.StatusOK, AttestResponse{
 			Nonce:       nonce,
 			Data:        EncodeWords(att.Data),
 			Measurement: EncodeWords(att.Measurement),
@@ -513,31 +442,27 @@ type NotaryResponse struct {
 
 func (s *Server) handleNotarySign(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		s.replyErr(w, http.StatusMethodNotAllowed, "POST the document bytes")
+		obs.ReplyError(w, http.StatusMethodNotAllowed, "POST the document bytes")
 		return
 	}
 	doc, err := io.ReadAll(io.LimitReader(r.Body, int64(MaxDocBytes)+1))
 	if err != nil {
-		s.replyErr(w, http.StatusBadRequest, "reading document: %v", err)
+		obs.ReplyError(w, http.StatusBadRequest, "reading document: %v", err)
 		return
 	}
 	if len(doc) == 0 {
-		s.replyErr(w, http.StatusBadRequest, "empty document")
+		obs.ReplyError(w, http.StatusBadRequest, "empty document")
 		return
 	}
 	if len(doc) > MaxDocBytes {
-		s.replyErr(w, http.StatusRequestEntityTooLarge, "document larger than %d bytes", MaxDocBytes)
+		obs.ReplyError(w, http.StatusRequestEntityTooLarge, "document larger than %d bytes", MaxDocBytes)
 		return
 	}
 	if s.agg != nil {
 		s.handleBatchSign(w, r, doc)
 		return
 	}
-	s.withWorker(w, r, func(ctx context.Context, wk *pool.Worker) (pool.Outcome, error) {
-		st, ok := wk.State().(*WorkerState)
-		if !ok {
-			return pool.Fail, fmt.Errorf("worker state is %T, want *WorkerState", wk.State())
-		}
+	s.withWorker(w, r, false, func(ctx context.Context, wk *pool.Worker, st *WorkerState) (pool.Outcome, error) {
 		n, err := NotarySign(ctx, st, doc)
 		if err != nil {
 			return pool.Fail, err
@@ -548,7 +473,7 @@ func (s *Server) handleNotarySign(w http.ResponseWriter, r *http.Request) {
 		if err := s.maybeCheckpoint(wk, st, n.Counter); err != nil {
 			return pool.Fail, fmt.Errorf("checkpointing notary: %w", err)
 		}
-		s.reply(w, http.StatusOK, NotaryResponse{
+		obs.Reply(w, http.StatusOK, NotaryResponse{
 			Counter:  n.Counter,
 			Digest:   EncodeWords(n.Digest),
 			MAC:      EncodeWords(n.MAC),
@@ -597,14 +522,10 @@ type CheckpointResponse struct {
 // the sealed blob itself is opaque — so without a store it reads 0.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		s.replyErr(w, http.StatusMethodNotAllowed, "POST to checkpoint")
+		obs.ReplyError(w, http.StatusMethodNotAllowed, "POST to checkpoint")
 		return
 	}
-	s.withWorkerAdmin(w, r, func(ctx context.Context, wk *pool.Worker) (pool.Outcome, error) {
-		st, ok := wk.State().(*WorkerState)
-		if !ok {
-			return pool.Fail, fmt.Errorf("worker state is %T, want *WorkerState", wk.State())
-		}
+	s.withWorker(w, r, true, func(ctx context.Context, wk *pool.Worker, st *WorkerState) (pool.Outcome, error) {
 		ckpt, err := wk.System().CheckpointEnclave(st.Notary)
 		if err != nil {
 			return pool.Fail, err
@@ -622,7 +543,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return pool.Fail, err
 		}
-		s.reply(w, http.StatusOK, CheckpointResponse{
+		obs.Reply(w, http.StatusOK, CheckpointResponse{
 			Worker:     wk.ID(),
 			Counter:    counter,
 			BlobWords:  len(ckpt.Blob),
@@ -662,18 +583,18 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 		case "off", "0", "false":
 			s.Undrain()
 		default:
-			s.replyErr(w, http.StatusBadRequest, "state must be on or off, got %q", state)
+			obs.ReplyError(w, http.StatusBadRequest, "state must be on or off, got %q", state)
 			return
 		}
 	} else if r.Method != http.MethodGet {
-		s.replyErr(w, http.StatusMethodNotAllowed, "POST to drain, GET to inspect")
+		obs.ReplyError(w, http.StatusMethodNotAllowed, "POST to drain, GET to inspect")
 		return
 	}
 	status := "serving"
 	if s.draining.Load() {
 		status = "draining"
 	}
-	s.reply(w, http.StatusOK, DrainResponse{Status: status, InFlight: s.cfg.Pool.Stats().InFlight})
+	obs.Reply(w, http.StatusOK, DrainResponse{Status: status, InFlight: s.cfg.Pool.Stats().InFlight})
 }
 
 // handleRestore instantiates a POSTed checkpoint (MarshalBinary JSON)
@@ -682,28 +603,24 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 // closed on a tampered blob or a foreign boot secret.
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		s.replyErr(w, http.StatusMethodNotAllowed, "POST the checkpoint JSON")
+		obs.ReplyError(w, http.StatusMethodNotAllowed, "POST the checkpoint JSON")
 		return
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxCheckpointBytes+1))
 	if err != nil {
-		s.replyErr(w, http.StatusBadRequest, "reading checkpoint: %v", err)
+		obs.ReplyError(w, http.StatusBadRequest, "reading checkpoint: %v", err)
 		return
 	}
 	if int64(len(body)) > maxCheckpointBytes {
-		s.replyErr(w, http.StatusRequestEntityTooLarge, "checkpoint larger than %d bytes", maxCheckpointBytes)
+		obs.ReplyError(w, http.StatusRequestEntityTooLarge, "checkpoint larger than %d bytes", maxCheckpointBytes)
 		return
 	}
 	ckpt, err := komodo.UnmarshalCheckpoint(body)
 	if err != nil {
-		s.replyErr(w, http.StatusBadRequest, "%v", err)
+		obs.ReplyError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.withWorkerAdmin(w, r, func(ctx context.Context, wk *pool.Worker) (pool.Outcome, error) {
-		st, ok := wk.State().(*WorkerState)
-		if !ok {
-			return pool.Fail, fmt.Errorf("worker state is %T, want *WorkerState", wk.State())
-		}
+	s.withWorker(w, r, true, func(ctx context.Context, wk *pool.Worker, st *WorkerState) (pool.Outcome, error) {
 		if st.Notary != nil {
 			if err := st.Notary.Destroy(); err != nil {
 				return pool.Fail, err
@@ -724,7 +641,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		// Make the restored notary part of the worker's golden state so
 		// stateless (OK-release) requests do not rewind it away.
 		wk.Rebase()
-		s.reply(w, http.StatusOK, RestoreResponse{Worker: wk.ID(), Restores: st.Restores, BlobWords: len(ckpt.Blob)})
+		obs.Reply(w, http.StatusOK, RestoreResponse{Worker: wk.ID(), Restores: st.Restores, BlobWords: len(ckpt.Blob)})
 		return pool.Keep, nil
 	})
 }
@@ -749,7 +666,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		body.Status = "no live workers"
 		status = http.StatusServiceUnavailable
 	}
-	s.reply(w, status, body)
+	obs.Reply(w, status, body)
 }
 
 // StatsResponse is the /v1/stats body: server counters, pool counters,
@@ -809,7 +726,7 @@ func (s *Server) Stats() StatsResponse {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.reply(w, http.StatusOK, s.Stats())
+	obs.Reply(w, http.StatusOK, s.Stats())
 }
 
 // QuoteKeyResponse is the /v1/quotekey body. In a real deployment the
@@ -822,25 +739,25 @@ type QuoteKeyResponse struct {
 
 func (s *Server) handleQuoteKey(w http.ResponseWriter, r *http.Request) {
 	if k := s.quoteKey.Load(); k != nil {
-		s.reply(w, http.StatusOK, QuoteKeyResponse{QuoteKey: EncodeWords(*k)})
+		obs.Reply(w, http.StatusOK, QuoteKeyResponse{QuoteKey: EncodeWords(*k)})
 		return
 	}
 	// No attest has run yet: peek at an idle worker's state.
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	wk, err := s.cfg.Pool.Get(ctx)
+	var key [8]uint32
+	err := s.checkout(ctx, func(_ context.Context, _ *pool.Worker, st *WorkerState) (pool.Outcome, error) {
+		key = st.QuoteKey
+		return pool.Keep, nil // nothing ran; no need to re-provision
+	})
 	if err != nil {
-		s.replyErr(w, http.StatusServiceUnavailable, "no worker within deadline: %v", err)
+		status := http.StatusInternalServerError
+		if errors.Is(err, errNoWorker) {
+			status = http.StatusServiceUnavailable
+		}
+		obs.ReplyError(w, status, "%v", err)
 		return
 	}
-	st, ok := wk.State().(*WorkerState)
-	if !ok {
-		s.cfg.Pool.Put(wk, pool.Fail)
-		s.replyErr(w, http.StatusInternalServerError, "worker state is %T", wk.State())
-		return
-	}
-	key := st.QuoteKey
-	s.cfg.Pool.Put(wk, pool.Keep) // nothing ran; no need to re-provision
 	s.quoteKey.CompareAndSwap(nil, &key)
-	s.reply(w, http.StatusOK, QuoteKeyResponse{QuoteKey: EncodeWords(key)})
+	obs.Reply(w, http.StatusOK, QuoteKeyResponse{QuoteKey: EncodeWords(key)})
 }

@@ -175,8 +175,7 @@ echo "replay-smoke: served results unperturbed by the debug episode"
 fetch GET "http://$addr/metrics" "$tmp/metrics.txt"
 for fam in \
     komodo_replay_traces_total \
-    komodo_obs_flight_occupancy \
-    komodo_obs_sink_dropped_total; do
+    komodo_obs_flight_occupancy; do
     grep -q "^$fam" "$tmp/metrics.txt" || {
         echo "replay-smoke: /metrics missing family $fam" >&2
         exit 1
