@@ -38,7 +38,7 @@ bench-json:
 # The block A/B benchmark and the block differential harness also run under
 # the race detector: the superblock cache must stay bit-identical there too.
 bench-smoke:
-	$(GO) test -run XXX -bench . -benchtime 1x .
+	$(GO) test -run XXX -bench . -benchtime 1x ./...
 	$(GO) test -race -run XXX -bench BenchmarkInterpreter -benchtime 1x .
 	$(GO) test -race -run 'TestBlockDifferential|FuzzBlockCache' ./internal/arm/
 

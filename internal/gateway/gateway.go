@@ -401,13 +401,8 @@ func (g *Gateway) handleNotarySign(w http.ResponseWriter, r *http.Request) {
 	if key == "" {
 		key = r.Header.Get("X-Komodo-Shard")
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBody+1))
-	if err != nil {
-		obs.ReplyError(w, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
-	if int64(len(body)) > maxProxyBody {
-		obs.ReplyError(w, http.StatusRequestEntityTooLarge, "body larger than %d bytes", maxProxyBody)
+	body, ok := obs.ReadBody(w, r.Body, maxProxyBody, "body")
+	if !ok {
 		return
 	}
 
@@ -491,13 +486,8 @@ func (g *Gateway) handleAdminProxy(w http.ResponseWriter, r *http.Request) {
 		obs.ReplyError(w, http.StatusNotFound, "unknown backend %q", name)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBody+1))
-	if err != nil {
-		obs.ReplyError(w, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
-	if int64(len(body)) > maxProxyBody {
-		obs.ReplyError(w, http.StatusRequestEntityTooLarge, "body larger than %d bytes", maxProxyBody)
+	body, ok := obs.ReadBody(w, r.Body, maxProxyBody, "body")
+	if !ok {
 		return
 	}
 	b := g.backends[idx]

@@ -181,9 +181,12 @@ func (g *Gateway) adminPost(ctx context.Context, b *backend, path string, body [
 		return 0, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyBody))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyBody+1))
 	if err != nil {
 		return resp.StatusCode, err
+	}
+	if int64(len(data)) > maxProxyBody {
+		return resp.StatusCode, fmt.Errorf("%s: reply larger than %d bytes", path, maxProxyBody)
 	}
 	if resp.StatusCode != http.StatusOK {
 		return resp.StatusCode, fmt.Errorf("%s: %d: %s", path, resp.StatusCode, strings.TrimSpace(string(data)))

@@ -199,6 +199,44 @@ func TestFailedMigrationUndrainsSource(t *testing.T) {
 	}
 }
 
+// TestMigrationRejectsOversizedReply: a backend reply over maxProxyBody
+// must fail the migration with an explicit size error, not be silently
+// truncated into a misleading JSON decoding error.
+func TestMigrationRejectsOversizedReply(t *testing.T) {
+	src := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/checkpoint" {
+			fmt.Fprint(w, `{}`)
+			return
+		}
+		fmt.Fprint(w, `{"worker":0,"counter":7,"blob_words":4,"checkpoint":"`)
+		pad := []byte(strings.Repeat("A", 64<<10))
+		for n := int64(0); n <= maxProxyBody; n += int64(len(pad)) {
+			if _, err := w.Write(pad); err != nil {
+				return
+			}
+		}
+		fmt.Fprint(w, `"}`)
+	}))
+	defer src.Close()
+	dst := newStub(t)
+	g, err := New(Config{
+		Backends:      []BackendSpec{{Name: "src", URL: src.URL}, {Name: "dst", URL: dst.ts.URL}},
+		DisableProbes: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+
+	_, err = g.Migrate(context.Background(), 0, 1, false)
+	if err == nil || !strings.Contains(err.Error(), "reply larger than") {
+		t.Fatalf("migrate over an oversized checkpoint reply: %v, want a reply-size error", err)
+	}
+	if g.resolve(0) != 0 || g.migrations.Load() != 0 {
+		t.Fatal("failed migration changed routing")
+	}
+}
+
 // TestMigrationQuiesceBarrier stresses the hold/quiesce barrier the
 // monotonicity proof rests on: signers race a migration from many
 // goroutines, and once the source has sealed its checkpoint not one

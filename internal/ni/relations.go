@@ -17,6 +17,7 @@ import (
 	"repro/internal/arm"
 	"repro/internal/mem"
 	"repro/internal/pagedb"
+	"repro/internal/sha2"
 )
 
 // WeakEqual is Definition 1 (=enc): pages outside the observer's address
@@ -109,7 +110,7 @@ func ObserveMachine(m *arm.Machine) MachineObs {
 
 func insecureDigest(m *arm.Machine) [32]byte {
 	l := m.Phys.Layout()
-	h := newHasher()
+	h := sha2.New()
 	var buf [4]byte
 	for off := uint32(0); off < l.InsecureSize; off += 4 {
 		v, err := m.Phys.Read(l.InsecureBase+off, mem.Normal)

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -123,6 +124,22 @@ func ReplyError(w http.ResponseWriter, status int, format string, args ...any) {
 	Reply(w, status, struct {
 		Error string `json:"error"`
 	}{fmt.Sprintf(format, args...)})
+}
+
+// ReadBody reads a request body of at most limit bytes. A read error is
+// answered 400 and a body over the limit 413; either way ok is false and
+// the reply is already written. what names the body in the error text.
+func ReadBody(w http.ResponseWriter, body io.Reader, limit int64, what string) (b []byte, ok bool) {
+	b, err := io.ReadAll(io.LimitReader(body, limit+1))
+	if err != nil {
+		ReplyError(w, http.StatusBadRequest, "reading %s: %v", what, err)
+		return nil, false
+	}
+	if int64(len(b)) > limit {
+		ReplyError(w, http.StatusRequestEntityTooLarge, "%s larger than %d bytes", what, limit)
+		return nil, false
+	}
+	return b, true
 }
 
 // HandleDebugTraces serves the flight recorder: the retained slowest

@@ -2,7 +2,9 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -117,6 +119,39 @@ func TestEdge(t *testing.T) {
 	for _, bad := range []string{"-1", "abc"} {
 		if code := get("?min_ms="+bad, nil); code != http.StatusBadRequest {
 			t.Errorf("?min_ms=%s: status %d, want 400", bad, code)
+		}
+	}
+}
+
+type failingReader struct{}
+
+func (failingReader) Read([]byte) (int, error) { return 0, errors.New("connection reset") }
+
+func TestReadBody(t *testing.T) {
+	const limit = 8
+	cases := []struct {
+		name   string
+		body   io.Reader
+		want   string // the body returned when ok
+		ok     bool
+		status int
+	}{
+		{"under", strings.NewReader("1234567"), "1234567", true, http.StatusOK},
+		{"at", strings.NewReader("12345678"), "12345678", true, http.StatusOK},
+		{"over", strings.NewReader("123456789"), "", false, http.StatusRequestEntityTooLarge},
+		{"read error", failingReader{}, "", false, http.StatusBadRequest},
+	}
+	for _, c := range cases {
+		rec := httptest.NewRecorder()
+		b, ok := ReadBody(rec, c.body, limit, "doc")
+		if ok != c.ok || rec.Code != c.status {
+			t.Errorf("%s: ok=%v status=%d, want ok=%v status=%d", c.name, ok, rec.Code, c.ok, c.status)
+		}
+		if ok && string(b) != c.want {
+			t.Errorf("%s: body %q, want %q", c.name, b, c.want)
+		}
+		if !ok && (b != nil || !strings.Contains(rec.Body.String(), "doc")) {
+			t.Errorf("%s: rejected with body %q and error reply %q", c.name, b, rec.Body.String())
 		}
 	}
 }

@@ -159,6 +159,13 @@ func TestCloneIsDeep(t *testing.T) {
 	if d.Pages[0].AS.RefCount != 5 {
 		t.Fatal("clone shares addrspace payload")
 	}
+	// The running measurement is copied by value too: extending the
+	// clone's must leave the original's digest alone.
+	before := d.Pages[0].AS.Measurement.Sum()
+	c.Pages[0].AS.Measurement.WriteWords([]uint32{1, 2, 3})
+	if d.Pages[0].AS.Measurement.Sum() != before {
+		t.Fatal("clone shares running measurement")
+	}
 	if d.Equal(c) {
 		t.Fatal("Equal missed divergence")
 	}

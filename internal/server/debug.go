@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"path/filepath"
 	"strconv"
@@ -98,9 +97,8 @@ func (s *Server) handleDebugMon(w http.ResponseWriter, r *http.Request) {
 	}
 	cmd := r.URL.Query().Get("cmd")
 	if cmd == "" {
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxMonCommandBytes+1))
-		if err != nil || len(body) > maxMonCommandBytes {
-			obs.ReplyError(w, http.StatusBadRequest, "command line unreadable or over %d bytes", maxMonCommandBytes)
+		body, ok := obs.ReadBody(w, r.Body, maxMonCommandBytes, "command line")
+		if !ok {
 			return
 		}
 		cmd = string(body)

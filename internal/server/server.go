@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"path/filepath"
 	"sync"
@@ -445,17 +444,12 @@ func (s *Server) handleNotarySign(w http.ResponseWriter, r *http.Request) {
 		obs.ReplyError(w, http.StatusMethodNotAllowed, "POST the document bytes")
 		return
 	}
-	doc, err := io.ReadAll(io.LimitReader(r.Body, int64(MaxDocBytes)+1))
-	if err != nil {
-		obs.ReplyError(w, http.StatusBadRequest, "reading document: %v", err)
+	doc, ok := obs.ReadBody(w, r.Body, MaxDocBytes, "document")
+	if !ok {
 		return
 	}
 	if len(doc) == 0 {
 		obs.ReplyError(w, http.StatusBadRequest, "empty document")
-		return
-	}
-	if len(doc) > MaxDocBytes {
-		obs.ReplyError(w, http.StatusRequestEntityTooLarge, "document larger than %d bytes", MaxDocBytes)
 		return
 	}
 	if s.agg != nil {
@@ -606,13 +600,8 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		obs.ReplyError(w, http.StatusMethodNotAllowed, "POST the checkpoint JSON")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxCheckpointBytes+1))
-	if err != nil {
-		obs.ReplyError(w, http.StatusBadRequest, "reading checkpoint: %v", err)
-		return
-	}
-	if int64(len(body)) > maxCheckpointBytes {
-		obs.ReplyError(w, http.StatusRequestEntityTooLarge, "checkpoint larger than %d bytes", maxCheckpointBytes)
+	body, ok := obs.ReadBody(w, r.Body, maxCheckpointBytes, "checkpoint")
+	if !ok {
 		return
 	}
 	ckpt, err := komodo.UnmarshalCheckpoint(body)

@@ -1,6 +1,8 @@
 package sha2
 
 import (
+	"crypto/hmac"
+	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/binary"
 )
@@ -9,26 +11,11 @@ import (
 // attestation (§4) is a MAC over the attesting enclave's measurement and
 // 32 bytes of enclave-supplied data, keyed by a boot-time secret.
 func HMAC(key, msg []byte) [Size]byte {
-	var kb [BlockSize]byte
-	if len(key) > BlockSize {
-		d := Sum256(key)
-		copy(kb[:], d[:])
-	} else {
-		copy(kb[:], key)
-	}
-	var ipad, opad [BlockSize]byte
-	for i := range kb {
-		ipad[i] = kb[i] ^ 0x36
-		opad[i] = kb[i] ^ 0x5c
-	}
-	inner := New()
-	inner.Write(ipad[:])
-	inner.Write(msg)
-	id := inner.Sum()
-	outer := New()
-	outer.Write(opad[:])
-	outer.Write(id[:])
-	return outer.Sum()
+	m := hmac.New(sha256.New, key)
+	m.Write(msg)
+	var out [Size]byte
+	m.Sum(out[:0])
+	return out
 }
 
 // HMACBlocks reports how many SHA-256 compressions an HMAC over msgLen

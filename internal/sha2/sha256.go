@@ -1,16 +1,26 @@
-// Package sha2 is a from-scratch implementation of SHA-256 (FIPS 180-4) and
-// HMAC-SHA256 (RFC 2104). The Komodo monitor uses SHA-256 for enclave
-// measurement and HMAC-SHA256 for local attestation (§4, §7.2). The paper's
-// prototype inherits an OpenSSL-style verified ARM implementation from Vale;
-// we implement the algorithm directly and cross-check it against the Go
-// standard library in tests (the stdlib is used only as a test oracle).
+// Package sha2 is the monitor's SHA-256 (FIPS 180-4) and HMAC-SHA256
+// (RFC 2104). The Komodo monitor uses SHA-256 for enclave measurement and
+// HMAC-SHA256 for local attestation (§4, §7.2). The paper's prototype
+// takes both from Vale's verified library rather than writing its own;
+// likewise the compression function and HMAC here are the Go standard
+// library's. What this package adds is the cycle model's view: Hash
+// counts every compression it performs (Blocks), which the monitor
+// charges as cycles.SHABlock, and it keeps its midstate in plain fields
+// (Marshal/Unmarshal) so the monitor can store a running measurement in
+// secure memory and the seal codec can encode it.
 //
 // The streaming API mirrors how the monitor consumes it: the measurement is
 // a running hash extended by each page-allocation call (§4 "Attestation"),
-// finalised when the enclave is finalised.
+// finalised when the enclave is finalised. The SHA-256 that runs inside
+// enclaves is KARM assembly (internal/kasm), built from the constants
+// exported here.
 package sha2
 
-import "encoding/binary"
+import (
+	"crypto/sha256"
+	"encoding"
+	"encoding/binary"
+)
 
 // Size is the length of a SHA-256 digest in bytes.
 const Size = 32
@@ -39,6 +49,9 @@ var k = [64]uint32{
 }
 
 // Hash is a streaming SHA-256 state. The zero value is not valid; use New.
+// It holds no pointer, slice or interface, so assigning a Hash copies the
+// running measurement: the spec, the PageDB clone and the seal codec all
+// rely on that.
 type Hash struct {
 	h      [8]uint32
 	buf    [BlockSize]byte
@@ -67,36 +80,33 @@ func (s *Hash) Reset() {
 func (s *Hash) Blocks() uint64 { return s.blocks }
 
 // Write absorbs p into the hash state. It never fails.
+//
+// Every byte of the stream lands in buf at its offset mod BlockSize, so buf
+// always holds the most recent BlockSize bytes in ring order. The monitor
+// stores buf in secure memory and the seal image encodes it, so this layout
+// is part of the measurement's observable state.
 func (s *Hash) Write(p []byte) (int, error) {
 	n := len(p)
 	s.length += uint64(n)
-	if s.nbuf > 0 {
-		c := copy(s.buf[s.nbuf:], p)
-		s.nbuf += c
-		p = p[c:]
-		if s.nbuf == BlockSize {
-			s.compress(s.buf[:])
-			s.nbuf = 0
-		}
+	c := copy(s.buf[s.nbuf:], p)
+	s.nbuf += c
+	if s.nbuf < BlockSize {
+		return n, nil
 	}
-	for len(p) >= BlockSize {
-		s.compress(p[:BlockSize])
-		p = p[BlockSize:]
+	p = p[c:]
+	body := p[:len(p)/BlockSize*BlockSize]
+	s.compress(s.buf[:], body)
+	if len(body) > 0 {
+		copy(s.buf[:], body[len(body)-BlockSize:])
 	}
-	if len(p) > 0 {
-		s.nbuf = copy(s.buf[:], p)
-	}
+	s.nbuf = copy(s.buf[:], p[len(body):])
 	return n, nil
 }
 
 // WriteWords absorbs 32-bit words in big-endian order. The monitor hashes
 // page contents and call arguments as words (the machine is word-addressed).
 func (s *Hash) WriteWords(ws []uint32) {
-	var b [4]byte
-	for _, w := range ws {
-		binary.BigEndian.PutUint32(b[:], w)
-		s.Write(b[:])
-	}
+	s.Write(WordsToBytes(ws))
 }
 
 // Sum finalises a copy of the state and returns the 32-byte digest.
@@ -133,38 +143,37 @@ func (s *Hash) SumWords() [8]uint32 {
 	return w
 }
 
-func (s *Hash) compress(block []byte) {
-	s.blocks++
-	var w [64]uint32
-	for i := 0; i < 16; i++ {
-		w[i] = binary.BigEndian.Uint32(block[i*4:])
-	}
-	for i := 16; i < 64; i++ {
-		s0 := rotr(w[i-15], 7) ^ rotr(w[i-15], 18) ^ (w[i-15] >> 3)
-		s1 := rotr(w[i-2], 17) ^ rotr(w[i-2], 19) ^ (w[i-2] >> 10)
-		w[i] = w[i-16] + s0 + w[i-7] + s1
-	}
-	a, b, c, d, e, f, g, h := s.h[0], s.h[1], s.h[2], s.h[3], s.h[4], s.h[5], s.h[6], s.h[7]
-	for i := 0; i < 64; i++ {
-		S1 := rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25)
-		ch := (e & f) ^ (^e & g)
-		t1 := h + S1 + ch + k[i] + w[i]
-		S0 := rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22)
-		maj := (a & b) ^ (a & c) ^ (b & c)
-		t2 := S0 + maj
-		h, g, f, e, d, c, b, a = g, f, e, d+t1, c, b, a, t1+t2
-	}
-	s.h[0] += a
-	s.h[1] += b
-	s.h[2] += c
-	s.h[3] += d
-	s.h[4] += e
-	s.h[5] += f
-	s.h[6] += g
-	s.h[7] += h
-}
+// The standard library's SHA-256 BinaryMarshaler encoding is a 4-byte
+// magic, the eight chaining words, a BlockSize buffer and the 64-bit byte
+// count, all big-endian.
+const (
+	stdlibMagic     = "sha\x03"
+	stdlibStateSize = len(stdlibMagic) + 8*4 + BlockSize + 8
+)
 
-func rotr(x uint32, n uint) uint32 { return x>>n | x<<(32-n) }
+// compress runs the SHA-256 compression function over whole blocks on the
+// standard library's implementation and counts them. The chaining value
+// goes in and comes back out through the library's binary encoding; its
+// buffer and length are left zero, which no compression reads.
+func (s *Hash) compress(blocks ...[]byte) {
+	st := make([]byte, stdlibStateSize)
+	copy(st, stdlibMagic)
+	for i, v := range s.h {
+		binary.BigEndian.PutUint32(st[len(stdlibMagic)+4*i:], v)
+	}
+	d := sha256.New()
+	if err := d.(encoding.BinaryUnmarshaler).UnmarshalBinary(st); err != nil {
+		panic("sha2: " + err.Error())
+	}
+	for _, b := range blocks {
+		d.Write(b)
+		s.blocks += uint64(len(b) / BlockSize)
+	}
+	st, _ = d.(encoding.BinaryMarshaler).MarshalBinary()
+	for i := range s.h {
+		s.h[i] = binary.BigEndian.Uint32(st[len(stdlibMagic)+4*i:])
+	}
+}
 
 // InitialState returns the SHA-256 initial hash values; the KARM assembly
 // implementation (internal/kasm) embeds them in enclave code.
@@ -175,11 +184,7 @@ func InitialState() [8]uint32 { return initH }
 func RoundConstants() [64]uint32 { return k }
 
 // Sum256 is a one-shot convenience.
-func Sum256(p []byte) [Size]byte {
-	s := New()
-	s.Write(p)
-	return s.Sum()
-}
+func Sum256(p []byte) [Size]byte { return sha256.Sum256(p) }
 
 // Marshal returns the internal chaining state and counters so the monitor
 // can persist a running measurement inside an addrspace page (the concrete

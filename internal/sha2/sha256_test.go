@@ -118,15 +118,72 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBlocksAccounting pins the compression count the monitor charges
+// cycles for: n/64 blocks after writing n bytes, paddedBlocks(n) after
+// Sum, however the bytes were fed in. A restored state counts only the
+// blocks compressed since Unmarshal. Every feeding must also leave the
+// same midstate (buf included: the monitor stores it in secure memory).
 func TestBlocksAccounting(t *testing.T) {
-	s := New()
-	s.Write(make([]byte, 64))
-	if s.Blocks() != 1 {
-		t.Fatalf("after 64 bytes: blocks = %d, want 1", s.Blocks())
+	feeds := []struct {
+		name string
+		feed func(msg []byte) (s *Hash, before uint64)
+	}{
+		{"one-shot", func(msg []byte) (*Hash, uint64) {
+			s := New()
+			s.Write(msg)
+			return s, 0
+		}},
+		{"bytewise", func(msg []byte) (*Hash, uint64) {
+			s := New()
+			for i := range msg {
+				s.Write(msg[i : i+1])
+			}
+			return s, 0
+		}},
+		{"words", func(msg []byte) (*Hash, uint64) {
+			half, whole := len(msg)/2&^3, len(msg)&^3
+			s := New()
+			s.WriteWords(BytesToWords(msg[:half]))
+			s.WriteWords(BytesToWords(msg[half:whole]))
+			s.Write(msg[whole:])
+			return s, 0
+		}},
+		{"restored", func(msg []byte) (*Hash, uint64) {
+			half := len(msg) / 2
+			s := New()
+			s.Write(msg[:half])
+			var r Hash
+			r.Unmarshal(s.Marshal())
+			r.Write(msg[half:])
+			return &r, uint64(half / BlockSize)
+		}},
 	}
-	s.Sum() // padding adds one block for a 64-byte message
-	if s.Blocks() != 2 {
-		t.Fatalf("after Sum: blocks = %d, want 2", s.Blocks())
+	msg := make([]byte, 200)
+	for i := range msg {
+		msg[i] = byte(i*31 + 7)
+	}
+	for n := 0; n <= len(msg); n++ {
+		ref := New()
+		for i := 0; i < n; i++ {
+			ref.Write(msg[i : i+1])
+		}
+		for _, f := range feeds {
+			s, before := f.feed(msg[:n])
+			if got, want := s.Blocks(), uint64(n/BlockSize)-before; got != want {
+				t.Errorf("%s n=%d: Blocks() = %d before Sum, want %d", f.name, n, got, want)
+			}
+			h, buf, nbuf, length := s.Marshal()
+			rh, rbuf, rnbuf, rlength := ref.Marshal()
+			if h != rh || buf != rbuf || nbuf != rnbuf || length != rlength {
+				t.Errorf("%s n=%d: midstate differs from byte-at-a-time", f.name, n)
+			}
+			if got, want := s.Sum(), sha256.Sum256(msg[:n]); got != [Size]byte(want) {
+				t.Errorf("%s n=%d: digest = %x, want %x", f.name, n, got, want)
+			}
+			if got, want := s.Blocks(), paddedBlocks(n)-before; got != want {
+				t.Errorf("%s n=%d: Blocks() = %d after Sum, want %d", f.name, n, got, want)
+			}
+		}
 	}
 }
 
