@@ -44,7 +44,31 @@ type Snapshot struct {
 }
 
 // Snapshot captures the machine.
-func (m *Machine) Snapshot() *Snapshot {
+func (m *Machine) Snapshot() *Snapshot { return m.capture(m.Phys.Snapshot()) }
+
+// Rebase captures the machine like Snapshot, but reuses prev's memory
+// image: when prev is the memory's current dirty-tracking baseline (the
+// last snapshot taken or restored), only the pages written since are
+// copied into it (mem.Physical.Fold), so the cost is O(dirty pages)
+// rather than O(RAM). Otherwise it takes a full Snapshot. Registers, RNG,
+// cycles, page-table pages and the TLB flag are re-captured either way.
+//
+// prev is consumed on both paths: a fold hands its memory image to the
+// returned snapshot, so prev is emptied and Restore(prev) fails with "arm:
+// nil snapshot" instead of putting old registers over new memory.
+func (m *Machine) Rebase(prev *Snapshot) *Snapshot {
+	var memory *mem.MemSnapshot
+	if prev != nil {
+		memory, prev.memory = prev.memory, nil
+	}
+	if !m.Phys.Fold(memory) {
+		return m.Snapshot()
+	}
+	return m.capture(memory)
+}
+
+// capture records everything but memory around the given memory image.
+func (m *Machine) capture(memory *mem.MemSnapshot) *Snapshot {
 	s := &Snapshot{
 		r:             m.r,
 		sp:            m.sp,
@@ -62,7 +86,7 @@ func (m *Machine) Snapshot() *Snapshot {
 		fiqPending:    m.fiqPending,
 		retired:       m.retired,
 		insnClass:     m.insnClass,
-		memory:        m.Phys.Snapshot(),
+		memory:        memory,
 		rng:           m.RNG.State(),
 		cycles:        m.Cyc.Total(),
 		tlbConsistent: m.TLB.Consistent(),

@@ -91,3 +91,60 @@ func TestRestoreNilSnapshot(t *testing.T) {
 		t.Fatal("nil snapshot accepted")
 	}
 }
+
+// TestRebaseConsumesPrev: Rebase folds the dirty pages into prev's memory
+// image, so prev must stop being restorable — restoring it would put old
+// registers over the new memory. The rebased snapshot restores the state
+// at the rebase, memory and registers alike, and Rebase still works (by a
+// full Snapshot) when prev is no longer the memory's baseline.
+func TestRebaseConsumesPrev(t *testing.T) {
+	m := newTestMachine(t, asm.New().Hlt())
+	base := m.Phys.Layout().InsecureBase
+	m.Phys.Write(base+0x100, 0xaaaa, mem.Normal)
+	old := m.Snapshot()
+
+	m.Phys.Write(base+0x100, 0xbbbb, mem.Normal)
+	m.SetReg(R3, 77)
+	snapsBefore := m.Phys.RestoreStats().Snapshots
+	cur := m.Rebase(old)
+	if got := m.Phys.RestoreStats().Snapshots - snapsBefore; got != 1 {
+		t.Fatalf("rebase counted %d snapshots, want 1", got)
+	}
+	if err := m.Restore(old); err == nil || err.Error() != "arm: nil snapshot" {
+		t.Fatalf("Restore(prev) after Rebase: err = %v, want arm: nil snapshot", err)
+	}
+
+	m.Phys.Write(base+0x100, 0xcccc, mem.Normal)
+	m.SetReg(R3, 5)
+	if err := m.Restore(cur); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := m.Phys.Read(base+0x100, mem.Normal); v != 0xbbbb {
+		t.Fatalf("memory after restoring the rebased snapshot: %#x, want 0xbbbb", v)
+	}
+	if m.Reg(R3) != 77 {
+		t.Fatalf("R3 after restoring the rebased snapshot: %d, want 77", m.Reg(R3))
+	}
+	if st := m.Phys.RestoreStats(); st.LastPagesCopied != 1 {
+		t.Fatalf("restore of the rebased snapshot copied %d pages, want a 1-page delta", st.LastPagesCopied)
+	}
+
+	// cur is superseded by a later snapshot: Rebase(cur) cannot fold and
+	// must capture everything afresh, still consuming cur.
+	m.Snapshot()
+	m.Phys.Write(base+0x200, 0xdddd, mem.Normal)
+	next := m.Rebase(cur)
+	if err := m.Restore(cur); err == nil {
+		t.Fatal("Restore(prev) after a fallback Rebase succeeded")
+	}
+	m.Phys.Write(base+0x200, 0xeeee, mem.Normal)
+	if err := m.Restore(next); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := m.Phys.Read(base+0x200, mem.Normal); v != 0xdddd {
+		t.Fatalf("memory after restoring a fallback rebase: %#x, want 0xdddd", v)
+	}
+	if m.Rebase(nil) == nil {
+		t.Fatal("Rebase(nil) returned no snapshot")
+	}
+}

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"errors"
+	"maps"
 	"math/rand"
 	"testing"
 )
@@ -318,5 +319,192 @@ func TestDirtyPagesGauge(t *testing.T) {
 	p.Write(sec, 4, Secure)
 	if got := p.DirtyPages(); got != 3 {
 		t.Fatalf("dirty pages = %d, want 3", got)
+	}
+}
+
+// dirtyBoth applies the same n pseudo-random operations to every Physical
+// in ps: word writes across both regions, plus (one op in eight) physical
+// tampering of a secure word, which poisons it under ProtEncrypt.
+func dirtyBoth(t *testing.T, r *rand.Rand, n int, ps ...*Physical) {
+	t.Helper()
+	l := ps[0].Layout()
+	for i := 0; i < n; i++ {
+		op, v := r.Intn(8), r.Uint32()
+		sec := l.SecureBase + uint32(r.Intn(int(l.SecureSize/4)))*4
+		ins := l.InsecureBase + uint32(r.Intn(int(l.InsecureSize/4)))*4
+		for _, p := range ps {
+			var err error
+			switch {
+			case op == 0:
+				err = p.TamperDRAM(sec, v)
+			case op < 4:
+				err = p.Write(sec, v, Secure)
+			default:
+				err = p.Write(ins, v, Normal)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// assertSameMemory compares two Physicals' words, poison sets and page
+// versions.
+func assertSameMemory(t *testing.T, a, b *Physical) {
+	t.Helper()
+	assertSameImage(t, a.insecure, a.secure, a.tampered, b.insecure, b.secure, b.tampered)
+	for i := range a.verIns {
+		if a.verIns[i] != b.verIns[i] {
+			t.Fatalf("insecure page %d version %d vs %d", i, a.verIns[i], b.verIns[i])
+		}
+	}
+	for i := range a.verSec {
+		if a.verSec[i] != b.verSec[i] {
+			t.Fatalf("secure page %d version %d vs %d", i, a.verSec[i], b.verSec[i])
+		}
+	}
+}
+
+func assertSameImage(t *testing.T, ins1, sec1 []uint32, tam1 map[uint32]bool, ins2, sec2 []uint32, tam2 map[uint32]bool) {
+	t.Helper()
+	for i := range ins1 {
+		if ins1[i] != ins2[i] {
+			t.Fatalf("insecure[%d] = %#x vs %#x", i, ins1[i], ins2[i])
+		}
+	}
+	for i := range sec1 {
+		if sec1[i] != sec2[i] {
+			t.Fatalf("secure[%d] = %#x vs %#x", i, sec1[i], sec2[i])
+		}
+	}
+	if len(tam1) != len(tam2) {
+		t.Fatalf("poison sets differ: %d vs %d words", len(tam1), len(tam2))
+	}
+	for k, v := range tam1 {
+		if tam2[k] != v {
+			t.Fatalf("poison of %#x: %v vs %v", k, v, tam2[k])
+		}
+	}
+}
+
+// TestFoldMatchesFullSnapshot is the differential test for Fold: two
+// Physicals see the same randomised writes and tampering; after each
+// round one folds into its golden snapshot and the other takes a fresh
+// full Snapshot. The two snapshots must hold the same image, the next
+// restore of the folded one must be a delta copying exactly the dirty
+// pages, and after it both memories must be bit-identical — words,
+// poison and page versions.
+func TestFoldMatchesFullSnapshot(t *testing.T) {
+	folded := newTestMem(t, ProtEncrypt)
+	full := newTestMem(t, ProtEncrypt)
+	r := rand.New(rand.NewSource(7))
+	dirtyBoth(t, r, 300, folded, full)
+	golden := folded.Snapshot()
+	fresh := full.Snapshot()
+
+	for round := 0; round < 8; round++ {
+		dirtyBoth(t, r, 40+r.Intn(200), folded, full)
+		dirty := folded.DirtyPages()
+		if !folded.Fold(golden) {
+			t.Fatalf("round %d: fold into the current baseline refused", round)
+		}
+		fresh = full.Snapshot()
+		if folded.DirtyPages() != 0 {
+			t.Fatalf("round %d: %d pages dirty after fold", round, folded.DirtyPages())
+		}
+		assertSameImage(t, golden.insecure, golden.secure, golden.tampered, fresh.insecure, fresh.secure, fresh.tampered)
+		assertSameMemory(t, folded, full)
+		if dirty == 0 {
+			t.Fatalf("round %d dirtied nothing", round)
+		}
+
+		dirtyBoth(t, r, 1+r.Intn(60), folded, full)
+		dirty = folded.DirtyPages()
+		before := folded.RestoreStats()
+		if err := folded.Restore(golden); err != nil {
+			t.Fatal(err)
+		}
+		if err := full.Restore(fresh); err != nil {
+			t.Fatal(err)
+		}
+		st := folded.RestoreStats()
+		if st.DeltaRestores != before.DeltaRestores+1 || st.FullRestores != before.FullRestores {
+			t.Fatalf("round %d: restore after fold was not a delta: %+v", round, st)
+		}
+		if st.LastPagesCopied != uint64(dirty) {
+			t.Fatalf("round %d: restore after fold copied %d pages, %d were dirty", round, st.LastPagesCopied, dirty)
+		}
+		assertSameMemory(t, folded, full)
+	}
+	if len(golden.tampered) == 0 {
+		t.Fatal("no poisoned word was folded; the run did not exercise the tamper map")
+	}
+}
+
+// TestFoldRefusesNonBaseline: Fold only folds into the snapshot the dirty
+// bits are relative to. After a foreign restore, or after restoring an
+// older own snapshot, the previous golden is no longer that baseline, so
+// Fold must report false and leave its image and the dirty bits as they
+// were.
+func TestFoldRefusesNonBaseline(t *testing.T) {
+	p := newTestMem(t, ProtEncrypt)
+	r := rand.New(rand.NewSource(11))
+	randomDirty(t, p, r, 100)
+	older := p.Snapshot()
+	randomDirty(t, p, r, 100)
+	if err := p.TamperDRAM(p.Layout().SecureBase+64, 0x55); err != nil {
+		t.Fatal(err)
+	}
+	golden := p.Snapshot()
+	keep := &MemSnapshot{
+		insecure: append([]uint32(nil), golden.insecure...),
+		secure:   append([]uint32(nil), golden.secure...),
+		tampered: maps.Clone(golden.tampered),
+	}
+	other := newTestMem(t, ProtEncrypt)
+	foreign := other.Snapshot()
+
+	for _, c := range []struct {
+		name string
+		snap *MemSnapshot
+	}{{"foreign restore", foreign}, {"older own restore", older}} {
+		if err := p.Restore(golden); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Restore(c.snap); err != nil {
+			t.Fatal(err)
+		}
+		randomDirty(t, p, r, 50)
+		dirty := p.DirtyPages()
+		if p.Fold(golden) {
+			t.Fatalf("%s: fold into a superseded snapshot succeeded", c.name)
+		}
+		if p.DirtyPages() != dirty {
+			t.Fatalf("%s: refused fold changed the dirty bits: %d → %d", c.name, dirty, p.DirtyPages())
+		}
+		assertSameImage(t, golden.insecure, golden.secure, golden.tampered, keep.insecure, keep.secure, keep.tampered)
+	}
+	if p.Fold(nil) {
+		t.Fatal("fold into nil succeeded")
+	}
+}
+
+// TestFoldAllocatesNothing: folding a few dirty pages into a clean golden
+// allocates nothing, the rebase half of the serving hot path.
+func TestFoldAllocatesNothing(t *testing.T) {
+	p := newTestMem(t, ProtEncrypt)
+	s := p.Snapshot()
+	base := p.Layout().InsecureBase
+	sec := p.Layout().SecureBase
+	allocs := testing.AllocsPerRun(100, func() {
+		p.Write(base, 1, Normal)
+		p.Write(sec+PageSize, 2, Secure)
+		if !p.Fold(s) {
+			t.Fatal("fold refused")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("fold allocated %.1f objects/op, want 0", allocs)
 	}
 }

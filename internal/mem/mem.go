@@ -155,6 +155,8 @@ type Physical struct {
 // RestoreStats counts snapshot/restore activity and the work each restore
 // did, for telemetry and the BENCH_*.json perf baselines.
 type RestoreStats struct {
+	// Snapshots counts full Snapshots and Folds alike: each yields the
+	// new baseline.
 	Snapshots     uint64 `json:"snapshots"`
 	DeltaRestores uint64 `json:"delta_restores"`
 	FullRestores  uint64 `json:"full_restores"`
@@ -437,6 +439,31 @@ func (p *Physical) Snapshot() *MemSnapshot {
 	return s
 }
 
+// Fold brings s up to date with current memory in place: it copies only
+// the pages dirtied since s was taken (or last folded) into s, makes s's
+// tamper map match the current poison set, and clears the dirty bits. s
+// keeps its generation and stays the dirty-tracking baseline, so the next
+// Restore of s is a delta. Memory, page versions and the block cache's
+// view are untouched: nothing the CPU sees changes.
+//
+// Fold requires s to be this Physical's current baseline — the snapshot
+// the dirty bits are relative to. For any other snapshot (foreign, or
+// superseded by a later Snapshot or Restore) it reports false and
+// touches nothing; callers then take a full Snapshot instead. Whoever
+// else holds s sees its contents change: a fold consumes the old image.
+func (p *Physical) Fold(s *MemSnapshot) bool {
+	if s == nil || s.owner != p || s.gen != p.gen {
+		return false
+	}
+	copyDirty(s.insecure, p.insecure, p.dirtyIns, nil)
+	copyDirty(s.secure, p.secure, p.dirtySec, nil)
+	clearBits(p.dirtyIns)
+	clearBits(p.dirtySec)
+	s.tampered = copyTampered(s.tampered, p.tampered)
+	p.stats.Snapshots++
+	return true
+}
+
 // Restore rewinds memory to a snapshot taken from the same layout. When
 // the snapshot is this Physical's current dirty-tracking baseline (the
 // usual serving-pool case: one golden snapshot, restored after every
@@ -482,29 +509,35 @@ func (p *Physical) Restore(s *MemSnapshot) error {
 	p.stats.LastWordsCopied = words
 	p.stats.LastPagesCopied = pages
 
-	// Reconcile integrity poison without allocating when both sides are
-	// clean (the overwhelmingly common case).
-	switch {
-	case len(s.tampered) == 0:
-		if len(p.tampered) > 0 {
-			clear(p.tampered)
-		}
-	default:
-		if p.tampered == nil {
-			p.tampered = make(map[uint32]bool, len(s.tampered))
-		} else {
-			clear(p.tampered)
-		}
-		for k, v := range s.tampered {
-			p.tampered[k] = v
-		}
-	}
+	p.tampered = copyTampered(p.tampered, s.tampered)
 	return nil
 }
 
-// copyDirty copies every dirty page from src back into dst, bumping the
-// copied pages' versions (their contents change now), and returns the
-// number of pages copied.
+// copyTampered makes dst hold exactly the poison set src holds and
+// returns it. It allocates nothing when both sides are clean (the
+// overwhelmingly common case), and keeps an empty dst empty rather than
+// materialising a map.
+func copyTampered(dst, src map[uint32]bool) map[uint32]bool {
+	if len(src) == 0 {
+		if len(dst) > 0 {
+			clear(dst)
+		}
+		return dst
+	}
+	if dst == nil {
+		dst = make(map[uint32]bool, len(src))
+	} else {
+		clear(dst)
+	}
+	for k, v := range src {
+		dst[k] = v
+	}
+	return dst
+}
+
+// copyDirty copies every dirty page from src into dst and returns the
+// number of pages copied. When ver is non-nil the copied pages' versions
+// are bumped, because dst is live memory whose contents change now.
 func copyDirty(dst, src []uint32, dirty []uint64, ver []uint64) uint64 {
 	var pages uint64
 	for wi, bits := range dirty {
@@ -513,7 +546,9 @@ func copyDirty(dst, src []uint32, dirty []uint64, ver []uint64) uint64 {
 			pg := uint32(wi)<<6 | uint32(trailingZeros64(bits))
 			off := int(pg) * PageWords
 			copy(dst[off:off+PageWords], src[off:off+PageWords])
-			ver[pg]++
+			if ver != nil {
+				ver[pg]++
+			}
 			pages++
 			bits ^= b
 		}

@@ -111,9 +111,11 @@ func (w *Worker) Uses() int { return w.uses }
 // state, making it the new restore point, and resets the epoch counter.
 // Call while the worker is checked out — e.g. after restoring an enclave
 // checkpoint onto it — so OK releases rewind to the rebased state rather
-// than the boot-time golden.
+// than the boot-time golden. The old golden's memory image is updated in
+// place with just the pages written since it was last restored
+// (komodo.System.Rebase), so a rebase costs O(dirty pages), not O(RAM).
 func (w *Worker) Rebase() {
-	w.golden = w.sys.Snapshot()
+	w.golden = w.sys.Rebase(w.golden)
 	w.epoch = 0
 }
 

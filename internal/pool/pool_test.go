@@ -3,6 +3,7 @@ package pool
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -351,7 +352,9 @@ func TestProvisionFailurePermanent(t *testing.T) {
 }
 
 // TestRebase: re-capturing the golden snapshot mid-checkout makes the
-// current state the new restore point.
+// current state the new restore point, and a second rebase (which folds
+// into the first rebased golden) moves it again: OK releases always
+// rewind to the latest rebased counter.
 func TestRebase(t *testing.T) {
 	p := mustPool(t, Config{Size: 1})
 	w := get(t, p)
@@ -372,7 +375,115 @@ func TestRebase(t *testing.T) {
 	if c := notarise(t, w); c != 2 {
 		t.Fatalf("second restore = %d, want 2", c)
 	}
+	w.Rebase() // second rebase: the golden now holds counter 2
 	p.Put(w, OK)
+	for i := 0; i < 2; i++ {
+		w = get(t, p)
+		if c := notarise(t, w); c != 3 {
+			t.Fatalf("checkout %d after second rebase: counter = %d, want 3", i, c)
+		}
+		p.Put(w, OK)
+	}
+	if st := p.Stats(); st.Restores != 5 || st.DeltaRestores != 5 {
+		t.Fatalf("stats %+v: want 5 restores, all deltas", st)
+	}
+}
+
+// TestRebaseAfterRestoreEnclave is the /v1/restore path: the notary is
+// replaced by one restored from a sealed checkpoint and the worker is
+// rebased onto it. OK releases must then rewind to the checkpoint's
+// counter, not to the boot-time golden or the displaced notary.
+func TestRebaseAfterRestoreEnclave(t *testing.T) {
+	p := mustPool(t, Config{Size: 1})
+	w := get(t, p)
+	notarise(t, w)
+	if c := notarise(t, w); c != 2 {
+		t.Fatalf("counter = %d, want 2", c)
+	}
+	ckpt, err := w.System().CheckpointEnclave(w.State().(*komodo.Enclave))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := notarise(t, w); c != 3 {
+		t.Fatalf("counter = %d, want 3", c)
+	}
+	if err := w.State().(*komodo.Enclave).Destroy(); err != nil {
+		t.Fatal(err)
+	}
+	enc, err := w.System().RestoreEnclave(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.state = enc
+	w.Rebase()
+	p.Put(w, Keep)
+	for i := 0; i < 3; i++ {
+		w = get(t, p)
+		if c := notarise(t, w); c != 3 {
+			t.Fatalf("checkout %d after restore+rebase: counter = %d, want 3 (checkpoint held 2)", i, c)
+		}
+		p.Put(w, OK)
+	}
+	if st := p.Stats(); st.DeltaRestores != st.Restores {
+		t.Fatalf("stats %+v: every restore after the rebase should be a delta", st)
+	}
+}
+
+// TestRebaseAllocation: a rebase after a sign folds the few dirty pages
+// into the golden. It allocates a handful of small objects (the snapshot
+// header and its page-table map), never a copy of RAM.
+func TestRebaseAllocation(t *testing.T) {
+	p := mustPool(t, Config{Size: 1})
+	w := get(t, p)
+	defer p.Put(w, OK)
+	enc := w.State().(*komodo.Enclave)
+	doc := make([]uint32, 16)
+	dirty := func() {
+		doc[0]++
+		if err := enc.WriteShared(0, 0, doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		dirty()
+		w.Rebase()
+	})
+	if allocs > 4 {
+		t.Fatalf("Rebase allocated %.1f objects/op, want ≤ 4", allocs)
+	}
+	const rounds = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		dirty()
+		w.Rebase()
+	}
+	runtime.ReadMemStats(&after)
+	perOp := (after.TotalAlloc - before.TotalAlloc) / rounds
+	if ram := w.System().Machine().Phys.TotalWords() * 4; perOp*64 > ram {
+		t.Fatalf("Rebase allocated %d bytes/op, over 1/64 of RAM (%d bytes)", perOp, ram)
+	}
+}
+
+// BenchmarkRebase measures one golden rebase after a write to the
+// notary's shared page, the pool's share of every durable sign.
+func BenchmarkRebase(b *testing.B) {
+	sys, state, err := counterBoot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := &Worker{sys: sys, state: state, golden: sys.Snapshot()}
+	enc := state.(*komodo.Enclave)
+	doc := make([]uint32, 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		doc[0]++
+		if err := enc.WriteShared(0, 0, doc); err != nil {
+			b.Fatal(err)
+		}
+		w.Rebase()
+	}
 }
 
 // tracedBoot boots like counterBoot but attaches a live event sink, so

@@ -27,6 +27,7 @@
 package seal
 
 import (
+	"encoding/binary"
 	"errors"
 
 	"repro/internal/sha2"
@@ -88,30 +89,40 @@ func DeriveRoot(bootSecret [32]byte) [32]byte {
 // identity — the basis for cross-board migration; any other measurement
 // or root yields an unrelated key.
 func DeriveKey(root [32]byte, measurement [8]uint32) [32]byte {
-	msg := append([]byte("komodo-seal-key-v1"), sha2.WordsToBytes(measurement[:])...)
-	return sha2.HMAC(root[:], msg)
+	mac := sha2.NewMAC(root[:])
+	mac.Write([]byte("komodo-seal-key-v1"))
+	mac.WriteWords(measurement[:])
+	return mac.Sum(nil)
 }
 
 func subKey(key [32]byte, label string) [32]byte {
 	return sha2.HMAC(key[:], []byte(label))
 }
 
-// keystream XORs the HMAC-CTR keystream for (key, nonce) into dst.
+// keystream XORs the HMAC-CTR keystream for (key, nonce) into dst: block
+// i of 8 words is HMAC(encKey, nonce[0] ‖ nonce[1] ‖ i), all big-endian.
+// The MAC is keyed once per call and reset per block.
 func keystream(encKey [32]byte, nonce [2]uint32, dst []uint32) {
-	var block [3]uint32
-	block[0], block[1] = nonce[0], nonce[1]
+	mac := sha2.NewMAC(encKey[:])
+	var block [12]byte
+	binary.BigEndian.PutUint32(block[0:], nonce[0])
+	binary.BigEndian.PutUint32(block[4:], nonce[1])
 	for i := 0; i < len(dst); i += 8 {
-		block[2] = uint32(i / 8)
-		ks := sha2.BytesToWords(hmacOf(encKey, block[:]))
+		binary.BigEndian.PutUint32(block[8:], uint32(i/8))
+		mac.Reset()
+		ks := mac.Sum(block[:])
 		for j := 0; j < 8 && i+j < len(dst); j++ {
-			dst[i+j] ^= ks[j]
+			dst[i+j] ^= binary.BigEndian.Uint32(ks[4*j:])
 		}
 	}
 }
 
-func hmacOf(key [32]byte, words []uint32) []byte {
-	mac := sha2.HMAC(key[:], sha2.WordsToBytes(words))
-	return mac[:]
+// tagOf is the blob's HMAC tag under K_mac over the given words.
+func tagOf(key [32]byte, words []uint32) [32]byte {
+	macKey := subKey(key, "komodo-seal-mac-v1")
+	mac := sha2.NewMAC(macKey[:])
+	mac.WriteWords(words)
+	return mac.Sum(nil)
 }
 
 // Seal builds a sealed blob: header, payload encrypted under K_enc with
@@ -133,8 +144,10 @@ func Seal(key [32]byte, nonce [2]uint32, kind uint32, measurement [8]uint32, pay
 	ct := blob[HeaderWords : HeaderWords+n]
 	copy(ct, payload)
 	keystream(subKey(key, "komodo-seal-enc-v1"), nonce, ct)
-	tag := sha2.BytesToWords(hmacOf(subKey(key, "komodo-seal-mac-v1"), blob[:HeaderWords+n]))
-	copy(blob[HeaderWords+n:], tag)
+	tag := tagOf(key, blob[:HeaderWords+n])
+	for i := range TagWords {
+		blob[HeaderWords+n+i] = binary.BigEndian.Uint32(tag[4*i:])
+	}
 	return blob
 }
 
@@ -187,11 +200,11 @@ func OpenWithKey(key [32]byte, blob []uint32) (Header, []uint32, error) {
 
 func openWith(key [32]byte, h Header, blob []uint32) (Header, []uint32, error) {
 	n := h.PayloadLen
-	want := hmacOf(subKey(key, "komodo-seal-mac-v1"), blob[:HeaderWords+n])
-	var wantTag, gotTag [32]byte
-	copy(wantTag[:], want)
-	copy(gotTag[:], sha2.WordsToBytes(blob[HeaderWords+n:]))
-	if !sha2.Equal(wantTag, gotTag) {
+	var gotTag [32]byte
+	for i, w := range blob[HeaderWords+n:] {
+		binary.BigEndian.PutUint32(gotTag[4*i:], w)
+	}
+	if !sha2.Equal(tagOf(key, blob[:HeaderWords+n]), gotTag) {
 		return h, nil, ErrAuth
 	}
 	payload := make([]uint32, n)

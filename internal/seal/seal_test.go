@@ -152,3 +152,67 @@ func FuzzOpen(f *testing.F) {
 		}
 	})
 }
+
+// priorBlob was sealed by the per-block-keyed implementation this
+// package had before the keystream MAC was keyed once per seal: testRoot,
+// testMeas, nonce {7, 9}, payload word i = i*0x01010101 for i < 20. The
+// construction is unchanged, so it must still open to the same payload.
+var priorBlob = []uint32{
+	0x4b534c42, 0x00000001, 0x00000001, 0x00000014, 0x00000011, 0x00000022,
+	0x00000033, 0x00000044, 0x00000055, 0x00000066, 0x00000077, 0x00000088,
+	0x00000007, 0x00000009, 0xc4f1f296, 0xb481b724, 0x3e935434, 0xedb8a71c,
+	0xa0f09a77, 0x0b373880, 0x4b911986, 0x88d3ad05, 0x35f53c2f, 0xf67bfec5,
+	0xd78bfc60, 0x8c1216b0, 0x55a7cd5c, 0x8aab1a5e, 0x8c1e1c23, 0x1ffd4fc9,
+	0xedaf868c, 0x2a1eb958, 0x85322f86, 0x78b30de2, 0x7fff4283, 0x660dd3e5,
+	0xfc4b215b, 0x9d40ed42, 0x526cab50, 0xd9a6c736, 0xd49958bb, 0x4262f002,
+}
+
+func TestPriorBlobOpensAndReseals(t *testing.T) {
+	_, got, err := Open(testRoot, priorBlob)
+	if err != nil {
+		t.Fatalf("blob sealed by the earlier implementation: %v", err)
+	}
+	payload := make([]uint32, 20)
+	for i := range payload {
+		payload[i] = uint32(i) * 0x01010101
+	}
+	for i := range payload {
+		if got[i] != payload[i] {
+			t.Fatalf("payload word %d: got %#x want %#x", i, got[i], payload[i])
+		}
+	}
+	again := sealed(t, payload)
+	for i := range priorBlob {
+		if again[i] != priorBlob[i] {
+			t.Fatalf("re-sealed blob word %d: %#x, earlier implementation sealed %#x", i, again[i], priorBlob[i])
+		}
+	}
+}
+
+// TestAllocsIndependentOfPayload: Seal and Open allocate a fixed number
+// of objects — the blob or payload itself plus the keyed MACs — however
+// many keystream blocks the payload takes. A per-block MAC (or a
+// per-block byte conversion) would make the count grow with length.
+func TestAllocsIndependentOfPayload(t *testing.T) {
+	key := DeriveKey(testRoot, testMeas)
+	allocs := func(n int) (seal, open float64) {
+		payload := make([]uint32, n)
+		blob := Seal(key, [2]uint32{1, 2}, KindCheckpoint, testMeas, payload)
+		seal = testing.AllocsPerRun(20, func() {
+			Seal(key, [2]uint32{1, 2}, KindCheckpoint, testMeas, payload)
+		})
+		open = testing.AllocsPerRun(20, func() {
+			if _, _, err := OpenWithKey(key, blob); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return seal, open
+	}
+	// 6,505 words is the notary checkpoint payload (814 keystream blocks).
+	sealSmall, openSmall := allocs(8)
+	sealLarge, openLarge := allocs(6505)
+	if sealLarge != sealSmall || openLarge != openSmall {
+		t.Fatalf("allocs/op grow with payload: Seal %v → %v, Open %v → %v (8 → 6,505 words)",
+			sealSmall, sealLarge, openSmall, openLarge)
+	}
+}

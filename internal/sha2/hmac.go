@@ -5,17 +5,54 @@ import (
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/binary"
+	"hash"
 )
 
 // HMAC computes HMAC-SHA256(key, msg) per RFC 2104. Komodo's local
 // attestation (§4) is a MAC over the attesting enclave's measurement and
 // 32 bytes of enclave-supplied data, keyed by a boot-time secret.
-func HMAC(key, msg []byte) [Size]byte {
-	m := hmac.New(sha256.New, key)
-	m.Write(msg)
-	var out [Size]byte
-	m.Sum(out[:0])
-	return out
+func HMAC(key, msg []byte) [Size]byte { return NewMAC(key).Sum(msg) }
+
+// MAC is HMAC-SHA256 under one key, for callers that MAC many messages
+// with it (the seal keystream runs one message per 8-word block). The key
+// pads are absorbed once, by NewMAC; Reset starts the next message from
+// the saved keyed state. Sum writes into a buffer the MAC owns and
+// WriteWords stages words through another, so after the first message a
+// MAC allocates nothing. Unlike Hash it holds a pointer: use it through
+// the *MAC that NewMAC returns, and never store one where a copy of the
+// value is expected to be independent.
+type MAC struct {
+	h     hash.Hash
+	sum   [Size]byte
+	words [BlockSize]byte
+}
+
+// NewMAC keys a MAC, ready for its first message.
+func NewMAC(key []byte) *MAC { return &MAC{h: hmac.New(sha256.New, key)} }
+
+// Reset discards the message written so far; the key stays.
+func (m *MAC) Reset() { m.h.Reset() }
+
+// Write absorbs p into the current message.
+func (m *MAC) Write(p []byte) { m.h.Write(p) }
+
+// WriteWords absorbs words in big-endian order, WordsToBytes's layout.
+func (m *MAC) WriteWords(ws []uint32) {
+	for len(ws) > 0 {
+		n := min(len(ws), len(m.words)/4)
+		for i, w := range ws[:n] {
+			binary.BigEndian.PutUint32(m.words[4*i:], w)
+		}
+		m.h.Write(m.words[:4*n])
+		ws = ws[n:]
+	}
+}
+
+// Sum absorbs tail and returns the MAC of the message written since
+// NewMAC or the last Reset. Call Reset before the next message.
+func (m *MAC) Sum(tail []byte) [Size]byte {
+	m.h.Write(tail)
+	return [Size]byte(m.h.Sum(m.sum[:0]))
 }
 
 // HMACBlocks reports how many SHA-256 compressions an HMAC over msgLen

@@ -6,6 +6,7 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -287,5 +288,118 @@ func BenchmarkHMAC64(b *testing.B) {
 	msg := make([]byte, 64)
 	for i := 0; i < b.N; i++ {
 		HMAC(key, msg)
+	}
+}
+
+// TestMACVectorsRFC4231 runs the keyed MAC over RFC 4231 test cases 1, 2,
+// 3 and 6 (test case 6 has a 131-byte key, which HMAC pre-hashes) and
+// compares each against crypto/hmac too.
+func TestMACVectorsRFC4231(t *testing.T) {
+	cases := []struct {
+		key, data, want string // all hex
+	}{
+		{"0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b", hex.EncodeToString([]byte("Hi There")),
+			"b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+		{"4a656665", hex.EncodeToString([]byte("what do ya want for nothing?")),
+			"5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
+		{strings.Repeat("aa", 20), strings.Repeat("dd", 50),
+			"773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"},
+		{strings.Repeat("aa", 131), hex.EncodeToString([]byte("Test Using Larger Than Block-Size Key - Hash Key First")),
+			"60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+	}
+	for i, c := range cases {
+		key, _ := hex.DecodeString(c.key)
+		data, _ := hex.DecodeString(c.data)
+		m := NewMAC(key)
+		got := m.Sum(data)
+		if hex.EncodeToString(got[:]) != c.want {
+			t.Errorf("case %d: MAC = %x, want %s", i, got, c.want)
+		}
+		std := hmac.New(sha256.New, key)
+		std.Write(data)
+		if !bytes.Equal(got[:], std.Sum(nil)) {
+			t.Errorf("case %d: MAC differs from crypto/hmac", i)
+		}
+		// The same MAC, reset, must give the same tag again.
+		m.Reset()
+		m.Write(data)
+		if again := m.Sum(nil); again != got {
+			t.Errorf("case %d: MAC after Reset = %x, want %x", i, again, got)
+		}
+	}
+}
+
+// TestMACManyMessagesOneKey: one keyed MAC, reset between messages of
+// every length 0…300 (written whole, byte by byte, or as words), must
+// equal a freshly keyed crypto/hmac on each, for a short and a long key.
+func TestMACManyMessagesOneKey(t *testing.T) {
+	for _, key := range [][]byte{[]byte("seal key"), bytes.Repeat([]byte{0x5c}, 100)} {
+		m := NewMAC(key)
+		msg := make([]byte, 300)
+		for i := range msg {
+			msg[i] = byte(i*7 + 1)
+		}
+		for n := 0; n <= len(msg); n++ {
+			std := hmac.New(sha256.New, key)
+			std.Write(msg[:n])
+			want := std.Sum(nil)
+
+			m.Reset()
+			if got := m.Sum(msg[:n]); !bytes.Equal(got[:], want) {
+				t.Fatalf("key %d bytes, len %d: whole-message MAC mismatch", len(key), n)
+			}
+			m.Reset()
+			for _, b := range msg[:n] {
+				m.Write([]byte{b})
+			}
+			if got := m.Sum(nil); !bytes.Equal(got[:], want) {
+				t.Fatalf("key %d bytes, len %d: byte-at-a-time MAC mismatch", len(key), n)
+			}
+			if n%4 == 0 {
+				m.Reset()
+				m.WriteWords(BytesToWords(msg[:n]))
+				if got := m.Sum(nil); !bytes.Equal(got[:], want) {
+					t.Fatalf("key %d bytes, len %d: WriteWords MAC mismatch", len(key), n)
+				}
+			}
+		}
+	}
+}
+
+// TestMACBlockAllocatesNothing: after its first message, one keystream
+// block (Reset, 12-byte message, Sum) allocates nothing, and neither
+// does WriteWords over more than a block of words.
+func TestMACBlockAllocatesNothing(t *testing.T) {
+	m := NewMAC(make([]byte, 32))
+	var block [12]byte
+	words := make([]uint32, 40)
+	m.Reset()
+	m.Sum(block[:])
+	if n := testing.AllocsPerRun(100, func() {
+		m.Reset()
+		block[11]++
+		m.Sum(block[:])
+	}); n != 0 {
+		t.Fatalf("MAC block allocated %v objects/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		m.Reset()
+		m.WriteWords(words)
+		m.Sum(nil)
+	}); n != 0 {
+		t.Fatalf("MAC over %d words allocated %v objects/op, want 0", len(words), n)
+	}
+}
+
+func BenchmarkMACBlock(b *testing.B) {
+	m := NewMAC(make([]byte, 32))
+	var block [12]byte
+	m.Reset() // the first Reset saves the keyed state; time the steady state
+	m.Sum(block[:])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Reset()
+		m.Sum(block[:])
 	}
 }

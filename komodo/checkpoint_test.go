@@ -83,6 +83,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 	}
 	var blobWords int
 	start := sys.Cycles()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ckpt, err := sys.CheckpointEnclave(enc)

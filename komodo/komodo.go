@@ -526,6 +526,12 @@ type Snapshot = arm.Snapshot
 // Snapshot captures the platform.
 func (s *System) Snapshot() *Snapshot { return s.plat.Machine.Snapshot() }
 
+// Rebase captures the platform like Snapshot, copying only the memory
+// pages written since prev when prev is the current restore baseline
+// (see arm.Machine.Rebase). prev is consumed: it must not be restored
+// afterwards.
+func (s *System) Rebase(prev *Snapshot) *Snapshot { return s.plat.Machine.Rebase(prev) }
+
 // Restore rewinds the platform to a snapshot taken from this System (or an
 // identically configured one).
 //
